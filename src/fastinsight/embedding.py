@@ -237,4 +237,10 @@ def vector_search(v_q: np.ndarray, index: EmbeddingIndex, k: int) -> RankedList:
             f"query dimension {v_q.shape} != index dimension ({index.dimension},)"
         )
     scores = index.matrix @ v_q
-    return RankedList.from_scores(zip(index.keys, scores.tolist()), k=min(k, len(index)))
+    n = len(scores)
+    k = min(k, n)
+    # Every row that ties the k-th best score, then (score desc, row asc);
+    # rows are in ascending key order, so this is RankedList.from_scores.
+    rows = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+    rows = rows[np.lexsort((rows, -scores[rows]))][:k]
+    return RankedList(zip([index.keys[i] for i in rows.tolist()], scores[rows].tolist()))

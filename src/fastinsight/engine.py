@@ -10,7 +10,7 @@ from .embedding import Embedder, EmbeddingIndex, vector_search
 from .expand import stex
 from .graph import CorpusGraph, View
 from .ranked import RankedList
-from .rerank import Reranker, granker, rerank_plain
+from .rerank import GRankerState, Reranker, granker, rerank_plain
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,13 @@ def fastinsight_retrieve(
     Vector-search seeds of size ``batch`` are graph-reranked, then the loop
     alternates frontier expansion (append up to ``batch`` candidates, capped
     at ``budget``) with graph reranking until the budget is reached or the
-    frontier empties.
+    frontier empties. Each retrieved document reaches the reranker once: the
+    granker calls share one per-query :class:`GRankerState`.
     """
     if g.n_nodes == 0:
         raise ValueError("graph is empty")
     trace = RetrievalTrace()
+    state = GRankerState()
 
     t0 = time.perf_counter()
     v_q = emb.encode_query(q)
@@ -80,7 +82,7 @@ def fastinsight_retrieve(
     trace.initial_vs = ret.keys()
 
     t0 = time.perf_counter()
-    ret = granker(q, ret, g, cfg.alpha, rr, view=view)
+    ret = granker(q, ret, g, cfg.alpha, rr, view=view, state=state)
     trace.granker_calls += 1
     trace._add("granker", time.perf_counter() - t0)
     trace.snapshots.append(list(ret.keys()))
@@ -96,7 +98,7 @@ def fastinsight_retrieve(
         ret = ret.extend(additions.items()[:k_remain])
 
         t0 = time.perf_counter()
-        ret = granker(q, ret, g, cfg.alpha, rr, view=view)
+        ret = granker(q, ret, g, cfg.alpha, rr, view=view, state=state)
         trace.granker_calls += 1
         trace._add("granker", time.perf_counter() - t0)
         trace.snapshots.append(list(ret.keys()))

@@ -12,7 +12,7 @@ import abc
 import json
 import threading
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 import requests
@@ -32,6 +32,11 @@ class Reranker(abc.ABC):
 
     Both stages must be deterministic per input; the composition
     ``head_scores(extract_latents(...))`` is the plain reranker score.
+
+    A latent row must depend only on its (query, document) pair, not on
+    which other documents share the batch or on their order. :func:`granker`
+    relies on this to extract each document once per query and reuse the
+    row in later calls.
     """
 
     latent_dim: int
@@ -160,27 +165,85 @@ class PropagationMatrix:
     isolated_rows: FrozenSet[int]
 
 
-def build_propagation(ret: RankedList, g: CorpusGraph, view: View = "undirected") -> PropagationMatrix:
+# The view whose neighbor lists give the columns of a view's adjacency:
+# j is an ``out``-neighbor of i exactly when i is an ``in``-neighbor of j.
+_REVERSE: Dict[str, View] = {"out": "in", "in": "out", "undirected": "undirected"}
+
+
+def _rows(row_of: Dict[str, int], keys: Sequence[str]) -> np.ndarray:
+    return np.fromiter((row_of[k] for k in keys), dtype=np.intp, count=len(keys))
+
+
+class GRankerState:
+    """Work :func:`granker` has already done for one query, reused by its
+    later calls.
+
+    Holds the latent row of every document already scored, and the induced
+    0/1 adjacency of every node already seen together with each node's
+    full-graph degree. Both are kept in insertion order and gathered in the
+    current rank order, so a call only extracts and looks up the nodes that
+    are new to the list. One state serves one (query, graph, view, reranker);
+    :func:`fastinsight_retrieve` makes one per call and drops it on return.
+    """
+
+    def __init__(self) -> None:
+        self._latent_row: Dict[str, int] = {}
+        self._latents: Optional[LatentBatch] = None
+        self._node_row: Dict[str, int] = {}
+        self._adjacency = np.zeros((0, 0))
+        self._degrees = np.zeros(0)
+
+    def latents(self, q: str, keys: Sequence[str], g: CorpusGraph, rr: Reranker) -> LatentBatch:
+        """Latent rows of ``keys`` in that order; only unseen keys reach the reranker."""
+        new = [k for k in keys if k not in self._latent_row]
+        if new:
+            rows = _extract(q, new, [g.content(k) for k in new], rr)
+            self._latents = rows if self._latents is None else np.concatenate([self._latents, rows])
+            for k in new:
+                self._latent_row[k] = len(self._latent_row)
+        return self._latents[_rows(self._latent_row, keys)]
+
+    def induced(self, keys: Sequence[str], g: CorpusGraph, view: View) -> Tuple[np.ndarray, np.ndarray]:
+        """Induced adjacency of ``keys`` and their full-graph degrees (zero
+        replaced by 1), in the order of ``keys``. Unseen keys are added first:
+        their rows from their own neighbors, their columns from the seen
+        nodes that have them as neighbors."""
+        new = [k for k in keys if k not in self._node_row]
+        if new:
+            deg = [max(g.degree(k, view), 1) for k in new]  # raises before any change
+            n0 = len(self._node_row)
+            for k in new:
+                self._node_row[k] = len(self._node_row)
+            row_of = self._node_row
+            a = np.zeros((len(row_of), len(row_of)))
+            a[:n0, :n0] = self._adjacency
+            for i, key in enumerate(new, start=n0):
+                for nb in g.neighbors(key, view):
+                    j = row_of.get(nb)
+                    if j is not None:
+                        a[i, j] = 1.0
+                for nb in g.neighbors(key, _REVERSE[view]):
+                    j = row_of.get(nb)
+                    if j is not None:
+                        a[j, i] = 1.0
+            self._adjacency = a
+            self._degrees = np.concatenate([self._degrees, np.asarray(deg, dtype=np.float64)])
+        idx = _rows(self._node_row, keys)
+        return self._adjacency[np.ix_(idx, idx)], self._degrees[idx]
+
+
+def build_propagation(ret: RankedList, g: CorpusGraph, view: View = "undirected",
+                      state: Optional[GRankerState] = None) -> PropagationMatrix:
     """Construct the propagation matrix for the subgraph induced by ``ret``.
 
     A is the induced adjacency under ``view``; D holds full-graph degrees
     (zero degrees replaced by 1 to stay invertible; such nodes have empty A
     rows anyway); W = A @ D^-1 weights each neighbor by the reciprocal of its
     full-graph degree; P row-normalizes W. Rows with no neighbor are flagged
-    isolated and left all-zero.
+    isolated and left all-zero. A ``state`` from earlier calls on a shorter
+    list of the same query supplies the adjacency of the nodes it has seen.
     """
-    keys = ret.keys()
-    n = len(keys)
-    pos = {k: i for i, k in enumerate(keys)}
-
-    a = np.zeros((n, n))
-    for i, key in enumerate(keys):
-        for nb in g.neighbors(key, view):
-            j = pos.get(nb)
-            if j is not None:
-                a[i, j] = 1.0
-
-    deg = np.array([max(g.degree(k, view), 1) for k in keys], dtype=np.float64)
+    a, deg = (GRankerState() if state is None else state).induced(ret.keys(), g, view)
     w = a / deg[np.newaxis, :]
     row_sums = w.sum(axis=1)
     isolated = frozenset(int(i) for i in np.flatnonzero(row_sums == 0.0))
@@ -209,13 +272,17 @@ def fuse_latents(h: LatentBatch, p: PropagationMatrix, alpha: float) -> LatentBa
     return fused
 
 
-def _latents_for(q: str, ret: RankedList, g: CorpusGraph, rr: Reranker) -> LatentBatch:
-    keys = ret.keys()
-    contents = [g.content(k) for k in keys]
+def _extract(q: str, keys: Sequence[str], contents: Sequence[str], rr: Reranker) -> LatentBatch:
+    """Latents of one non-empty batch of documents (``contents`` aligned with
+    ``keys``); a reranker failure is raised as :class:`RerankerError` naming
+    the batch's first key."""
     try:
-        return rr.extract_latents(q, contents)
+        latents = rr.extract_latents(q, list(contents))
     except Exception as exc:  # noqa: BLE001 - attribute failure to the batch head key
-        raise RerankerError(keys[0] if keys else "?", str(exc)) from exc
+        raise RerankerError(keys[0], str(exc)) from exc
+    if len(latents) != len(contents):
+        raise RerankerError(keys[0], f"{len(latents)} latent rows for {len(contents)} documents")
+    return latents
 
 
 def rerank_plain(q: str, ret: RankedList, rr: Reranker, k: Optional[int] = None,
@@ -230,11 +297,7 @@ def rerank_plain(q: str, ret: RankedList, rr: Reranker, k: Optional[int] = None,
         raise ValueError("ranked list is empty")
     if contents is None:
         raise ValueError("contents required (or use rerank_pool)")
-    try:
-        latents = rr.extract_latents(q, list(contents))
-    except Exception as exc:  # noqa: BLE001
-        raise RerankerError(ret.keys()[0], str(exc)) from exc
-    scores = rr.head_scores(latents)
+    scores = rr.head_scores(_extract(q, ret.keys(), contents, rr))
     k = len(ret) if k is None else min(k, len(ret))
     return RankedList.from_scores(zip(ret.keys(), scores.tolist()), k=k)
 
@@ -246,17 +309,21 @@ def rerank_pool(q: str, ret: RankedList, g: CorpusGraph, rr: Reranker,
 
 
 def granker(q: str, ret: RankedList, g: CorpusGraph, alpha: float, rr: Reranker,
-            view: View = "undirected") -> RankedList:
+            view: View = "undirected", state: Optional[GRankerState] = None) -> RankedList:
     """Graph-aware rerank: extract latents, smooth them over the induced
     subgraph, score with the head, and reorder.
 
     Output is always a permutation of the input list (no drops); ties break
-    by ascending key.
+    by ascending key. A ``state`` kept across the calls of one query lets
+    each document reach ``rr.extract_latents`` once; the scores are the same
+    as without it.
     """
     if len(ret) == 0:
         raise ValueError("ranked list is empty")
-    h = _latents_for(q, ret, g, rr)
-    p = build_propagation(ret, g, view=view)
+    if state is None:
+        state = GRankerState()
+    h = state.latents(q, ret.keys(), g, rr)
+    p = build_propagation(ret, g, view=view, state=state)
     fused = fuse_latents(h, p, alpha)
     scores = rr.head_scores(fused)
     return RankedList.from_scores(zip(ret.keys(), scores.tolist()))

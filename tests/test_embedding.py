@@ -7,6 +7,7 @@ from fastinsight import (
     EmbeddingIndex,
     HashEmbedder,
     build_index,
+    RankedList,
     hash_embed,
     vector_search,
 )
@@ -148,6 +149,18 @@ class TestVectorSearch:
         index = self._index({"z": [1, 0, 0, 0, 0, 0, 0, 0], "a": [1, 0, 0, 0, 0, 0, 0, 0]})
         got = vector_search(np.array([1.0, 0, 0, 0, 0, 0, 0, 0]), index, 2)
         assert got.keys() == ("a", "z")
+
+    def test_matches_full_sort_under_heavy_ties(self):
+        # Integer-valued scores tie often; k runs past the index size too.
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            names = rng.choice(1000, size=n, replace=False)
+            index = self._index({f"k{i}": rng.integers(-2, 3, 8) for i in names})
+            q = rng.integers(-2, 3, 8).astype(float)
+            k = int(rng.integers(1, n + 5))
+            want = RankedList.from_scores(zip(index.keys, (index.matrix @ q).tolist()), k=min(k, n))
+            assert vector_search(q, index, k).items() == want.items()
 
     def test_dimension_mismatch(self):
         index = self._index({"a": np.ones(8)})

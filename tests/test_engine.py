@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastinsight import (
     FastInsightConfig,
@@ -17,6 +20,18 @@ from fastinsight import (
 )
 
 from conftest import make_graph
+
+
+class CountingReranker(HashReranker):
+    """HashReranker that records every batch sent to extract_latents."""
+
+    def __init__(self, dimension=64):
+        super().__init__(dimension)
+        self.batches = []
+
+    def extract_latents(self, query, contents):
+        self.batches.append((query, list(contents)))
+        return super().extract_latents(query, contents)
 
 
 def _rich_graph(n=120, p=0.05, seed=5):
@@ -111,6 +126,20 @@ class TestLoop:
             ret = granker(q, ret.extend(adds.items()[:take]), g, 0.3, rr)
         assert got.items() == ret.items()
 
+    def test_each_document_extracted_once(self, rich):
+        g, index, emb, _ = rich
+        rr = CountingReranker()
+        cfg = FastInsightConfig(batch=10, budget=100)
+        q = "tok1 tok4 filler2"
+        ret, trace = fastinsight_retrieve(q, g, index, emb, rr, cfg)
+        pairs = Counter((query, doc) for query, docs in rr.batches for doc in docs)
+        assert len(ret) == 100 and sum(pairs.values()) == 100
+        assert set(pairs.values()) == {1}
+        assert set(pairs) == {(q, g.content(k)) for k in ret.keys()}
+        assert all(docs for _, docs in rr.batches)
+        # one reranker batch per granker call; granker_calls still counts iterations
+        assert len(rr.batches) == trace.granker_calls == 10
+
     def test_empty_graph_rejected(self):
         g = make_graph([], [])
         emb = HashEmbedder(64)
@@ -166,3 +195,58 @@ class TestBaselines:
         ret, trace = fastinsight_retrieve("lone", g, index, emb, HashReranker(64),
                                           FastInsightConfig(batch=1, budget=5))
         assert list(ret.keys()) == ["only"]
+
+
+_VIEWS = st.sampled_from(["undirected", "out", "in"])
+
+
+@st.composite
+def _graph_and_config(draw):
+    n = draw(st.integers(2, 24))
+    keys = [f"n{i:02d}" for i in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans())
+    edges = []
+    for i, j, both_ways in draw(st.lists(pairs, min_size=n, max_size=4 * n)):
+        edges += [(keys[i], keys[j]), (keys[j], keys[i])] if both_ways else [(keys[i], keys[j])]
+    # a small vocabulary, so scores often tie
+    contents = {k: f"w{i % 5} w{(3 * i) % 7} w{draw(st.integers(0, 3))}"
+                for i, k in enumerate(keys)}
+    batch = draw(st.integers(1, 5))
+    cfg = FastInsightConfig(batch=batch, budget=draw(st.integers(batch, 30)),
+                            alpha=draw(st.floats(0.0, 1.0)), beta=draw(st.floats(0.0, 3.0)))
+    return make_graph(keys, edges, contents=contents), cfg, draw(_VIEWS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graph_and_config(), st.sampled_from(["w1", "w2 w4", "w0 w3 w6"]))
+def test_engine_matches_stateless_granker_loop(case, q):
+    # The engine reuses latents and adjacency across granker calls; a loop of
+    # stateless calls recomputes both every time. They must agree bit for bit.
+    g, cfg, view = case
+    emb, rr = HashEmbedder(16), HashReranker(16)
+    index = build_index(g, emb)
+
+    def engine():
+        return fastinsight_retrieve(q, g, index, emb, rr, cfg, view=view)[0].items()
+
+    def stateless_loop():
+        v_q = emb.encode_query(q)
+        ret = granker(q, vector_search(v_q, index, cfg.batch), g, cfg.alpha, rr, view=view)
+        while len(ret) < cfg.budget:
+            adds = stex(v_q, index, g, ret, cfg.beta, view=view)
+            if len(adds) == 0:
+                break
+            take = min(len(ret) + cfg.batch, cfg.budget) - len(ret)
+            ret = granker(q, ret.extend(adds.items()[:take]), g, cfg.alpha, rr, view=view)
+        return ret.items()
+
+    def outcome(run):
+        # stex can raise under a directed view (a frontier node with no
+        # retrieved node among its own view-neighbors); both sides must then
+        # raise the same error.
+        try:
+            return run()
+        except ValueError as exc:
+            return repr(exc)
+
+    assert outcome(engine) == outcome(stateless_loop)

@@ -6,6 +6,7 @@ import pytest
 
 from fastinsight import (
     AffineHead,
+    HashReranker,
     PropagationMatrix,
     build_propagation,
     fuse_latents,
@@ -14,6 +15,7 @@ from fastinsight import (
     rerank_pool,
 )
 from fastinsight.errors import RerankerError
+from fastinsight.rerank import GRankerState
 
 from conftest import make_graph, random_graph, ranked
 
@@ -243,6 +245,57 @@ class TestGRanker:
         fused = fuse_latents(h, p, 1e-6)
         blended = reranker.head_scores(fused)
         assert np.abs(blended - plain).max() < 1e-4
+
+
+class TestGRankerState:
+    def test_growing_list_matches_fresh_calls(self, reranker):
+        # Grow a list in random batches, reordering it in between, and check
+        # every call against a fresh state: the directed views exercise the
+        # column update of the seen nodes.
+        rng = random.Random(55)
+        for trial in range(60):
+            g = random_graph(rng, n_max=14, p=0.3)
+            view = ("undirected", "out", "in")[trial % 3]
+            order = rng.sample(list(g.node_keys), g.n_nodes)
+            state = GRankerState()
+            size = 0
+            while size < len(order):
+                size = min(size + rng.randint(1, 4), len(order))
+                keys = order[:size]
+                rng.shuffle(keys)
+                ret = ranked(*keys)
+                got = build_propagation(ret, g, view=view, state=state)
+                want = build_propagation(ret, g, view=view)
+                assert np.array_equal(got.matrix, want.matrix)
+                assert got.isolated_rows == want.isolated_rows
+                alpha = rng.random()
+                assert (granker("grow query", ret, g, alpha, reranker, view=view, state=state).items()
+                        == granker("grow query", ret, g, alpha, reranker, view=view).items())
+
+    def test_failure_names_first_new_key(self):
+        class FailsAfterFirst(HashReranker):
+            calls = 0
+
+            def extract_latents(self, query, contents):
+                self.calls += 1
+                if self.calls > 1:
+                    raise RuntimeError("nope")
+                return super().extract_latents(query, contents)
+
+        g = make_graph(["a", "b", "c", "d"], [])
+        rr, state = FailsAfterFirst(32), GRankerState()
+        granker("q", ranked("a", "b"), g, 0.5, rr, state=state)
+        with pytest.raises(RerankerError, match="'d'"):
+            granker("q", ranked("a", "d", "b", "c"), g, 0.5, rr, state=state)
+
+    def test_wrong_row_count_rejected(self):
+        class Short(DotReranker):
+            def extract_latents(self, query, contents):
+                return super().extract_latents(query, contents)[:-1]
+
+        g = make_graph(["a", "b"], [], contents={"a": "a", "b": "b"})
+        with pytest.raises(RerankerError, match="1 latent rows for 2 documents"):
+            granker("q", ranked("a", "b"), g, 0.5, Short({"a": [1.0], "b": [2.0]}))
 
 
 class TestAffineHead:
