@@ -34,7 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--embed-dim", type=int, default=256)
     run.add_argument("--out", default="out")
     run.add_argument("--jobs", type=int, default=1)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=int, default=0,
+                     help="recorded in report.json only; every method is deterministic, "
+                          "so it changes no result")
     run.add_argument("--sweep-budget", action="store_true",
                      help="emit one report per budget in 10..100 step 10")
 

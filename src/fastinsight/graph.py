@@ -27,6 +27,11 @@ logger = logging.getLogger(__name__)
 
 View = Literal["out", "in", "undirected"]
 
+# j is an ``out``-neighbor of i exactly when i is an ``in``-neighbor of j, so
+# the nodes that have ``key`` as a view-neighbor are its REVERSE_VIEW[view]
+# neighbors.
+REVERSE_VIEW: Dict[str, View] = {"out": "in", "in": "out", "undirected": "undirected"}
+
 Source = Union[str, bytes, BinaryIO]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, Literal, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Literal, Optional, Sequence, Set, Tuple, Union
 
 from .errors import GraphFormatError, UnknownNodeError
 from .graph import CorpusGraph, View
@@ -27,15 +27,12 @@ def _ret_keys(ret: RetLike) -> Tuple[str, ...]:
     return tuple(ret)
 
 
-def _node_weight(g: CorpusGraph, key: str, view: View) -> float:
-    return math.log1p(g.degree(key, view))
-
-
 def seed_path_costs(
     g: CorpusGraph,
     ret_keys: Sequence[str],
     view: View = "undirected",
     mode: PathMode = "cost",
+    targets: Optional[Iterable[str]] = None,
 ) -> Dict[str, float]:
     """Multi-source node-weighted shortest-path costs from the retrieved set.
 
@@ -43,32 +40,52 @@ def seed_path_costs(
     on the path including the seed and v itself. With mode="hops", paths are
     compared by hop count first and accumulated weight second (the
     hop-shortest reading); the returned cost is still the weight sum.
+
+    Without ``targets`` every node reachable from the seeds is returned. With
+    ``targets`` the search stops as soon as each target has at least one
+    settled view-neighbor, and only the nodes settled so far are returned.
+    Either way the dict lists nodes in settle order, which is non-decreasing
+    in (hops, cost), and every cost in it is final.
     """
-    dist: Dict[str, Tuple] = {}
-    heap: List[Tuple] = []
+    step = 1 if mode == "hops" else 0
+    weight: Dict[str, float] = {}  # log(1 + degree) of each node touched
+
+    def node_weight(key: str) -> float:
+        w = weight.get(key)
+        if w is None:
+            w = weight[key] = math.log1p(len(g.neighbors(key, view)))
+        return w
+
+    best: Dict[str, Tuple[int, float]] = {}
     for seed in set(ret_keys):
-        w = _node_weight(g, seed, view)
-        cost = (0, w) if mode == "hops" else (w,)
-        if seed not in dist or cost < dist[seed]:
-            dist[seed] = cost
-            heapq.heappush(heap, cost + (seed,))
+        best[seed] = (0, node_weight(seed))
+    heap = [(hops, cost, key) for key, (hops, cost) in best.items()]
+    heapq.heapify(heap)
 
-    while heap:
-        *cost_t, node = heapq.heappop(heap)
-        cost = tuple(cost_t)
-        if dist.get(node) != cost:
+    pending: Optional[Set[str]] = None
+    resolves: Dict[str, List[str]] = {}  # node -> targets it is a view-neighbor of
+    if targets is not None:
+        pending = set(targets)
+        for t in pending:
+            for nb in g.neighbors(t, view):
+                resolves.setdefault(nb, []).append(t)
+
+    settled: Dict[str, float] = {}
+    while heap and (pending is None or pending):
+        hops, cost, node = heapq.heappop(heap)
+        if node in settled:
             continue
+        settled[node] = cost
+        if pending is not None:
+            pending.difference_update(resolves.get(node, ()))
         for nb in g.neighbors(node, view):
-            w = _node_weight(g, nb, view)
-            if mode == "hops":
-                cand = (cost[0] + 1, cost[1] + w)
-            else:
-                cand = (cost[0] + w,)
-            if nb not in dist or cand < dist[nb]:
-                dist[nb] = cand
+            if nb in settled:
+                continue
+            cand = (hops + step, cost + node_weight(nb))
+            if nb not in best or cand < best[nb]:
+                best[nb] = cand
                 heapq.heappush(heap, cand + (nb,))
-
-    return {k: v[-1] for k, v in dist.items()}
+    return settled
 
 
 def uncertainty(
@@ -90,53 +107,31 @@ def uncertainty(
         return 0.0
     if not ret_set:
         return math.inf
-    costs = _costs_to_predecessors(g, tuple(sorted(ret_set)), view, mode)
+    costs = _costs_to_predecessors(g, tuple(sorted(ret_set)), (target,), view, mode)
     return costs.get(target, math.inf)
 
 
 def _costs_to_predecessors(
     g: CorpusGraph,
     ret_keys: Tuple[str, ...],
+    targets: Sequence[str],
     view: View,
     mode: PathMode,
 ) -> Dict[str, float]:
-    """u-values for all targets: min over target-neighbors of the seed path cost."""
-    if mode == "hops":
-        dist: Dict[str, Tuple] = {}
-        heap: List[Tuple] = []
-        for seed in ret_keys:
-            w = _node_weight(g, seed, view)
-            cost = (0, w)
-            if seed not in dist or cost < dist[seed]:
-                dist[seed] = cost
-                heapq.heappush(heap, cost + (seed,))
-        while heap:
-            hops, weight, node = heapq.heappop(heap)
-            if dist.get(node) != (hops, weight):
-                continue
-            for nb in g.neighbors(node, view):
-                cand = (hops + 1, weight + _node_weight(g, nb, view))
-                if nb not in dist or cand < dist[nb]:
-                    dist[nb] = cand
-                    heapq.heappush(heap, cand + (nb,))
-        out: Dict[str, float] = {}
-        for key in g.node_keys:
-            best = None
-            for nb in g.neighbors(key, view):
-                if nb in dist:
-                    cand = dist[nb]
-                    if best is None or cand < best:
-                        best = cand
-            if best is not None:
-                out[key] = best[1]
-        return out
+    """u-values of ``targets``: the seed path cost of each one's cheapest
+    view-neighbor. Unreachable targets are left out.
 
-    costs = seed_path_costs(g, ret_keys, view=view, mode="cost")
-    out = {}
-    for key in g.node_keys:
-        reachable = [costs[nb] for nb in g.neighbors(key, view) if nb in costs]
-        if reachable:
-            out[key] = min(reachable)
+    Nodes settle in non-decreasing (hops, cost) order, so a target's first
+    view-neighbor in settle order is its cheapest one in both modes.
+    """
+    settled = seed_path_costs(g, ret_keys, view=view, mode=mode, targets=targets)
+    order = {key: i for i, key in enumerate(settled)}
+    out: Dict[str, float] = {}
+    for t in targets:
+        first = min((nb for nb in g.neighbors(t, view) if nb in order),
+                    key=order.__getitem__, default=None)
+        if first is not None:
+            out[t] = settled[first]
     return out
 
 
@@ -186,10 +181,10 @@ def topological_recall(
             raise UnknownNodeError(key)
     if not ret_keys:
         return 0.0
-    costs = _costs_to_predecessors(g, ret_keys, view, mode)
     ret_set = set(ret_keys)
+    costs = _costs_to_predecessors(g, ret_keys, sorted(oracle - ret_set), view, mode)
     total = 0.0
-    for key in oracle:
+    for key in sorted(oracle):  # a fixed summation order, whatever the set's hash order
         if key in ret_set:
             total += 1.0
         else:

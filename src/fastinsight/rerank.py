@@ -19,7 +19,7 @@ import requests
 
 from .embedding import hash_embed
 from .errors import RerankerError
-from .graph import CorpusGraph, View
+from .graph import REVERSE_VIEW, CorpusGraph, View
 from .ranked import RankedList
 
 # A latent batch is a |ret| x d_h float matrix, rows aligned with the ranked
@@ -165,11 +165,6 @@ class PropagationMatrix:
     isolated_rows: FrozenSet[int]
 
 
-# The view whose neighbor lists give the columns of a view's adjacency:
-# j is an ``out``-neighbor of i exactly when i is an ``in``-neighbor of j.
-_REVERSE: Dict[str, View] = {"out": "in", "in": "out", "undirected": "undirected"}
-
-
 def _rows(row_of: Dict[str, int], keys: Sequence[str]) -> np.ndarray:
     return np.fromiter((row_of[k] for k in keys), dtype=np.intp, count=len(keys))
 
@@ -222,7 +217,7 @@ class GRankerState:
                     j = row_of.get(nb)
                     if j is not None:
                         a[i, j] = 1.0
-                for nb in g.neighbors(key, _REVERSE[view]):
+                for nb in g.neighbors(key, REVERSE_VIEW[view]):
                     j = row_of.get(nb)
                     if j is not None:
                         a[j, i] = 1.0

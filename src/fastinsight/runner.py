@@ -59,7 +59,7 @@ class RunConfig:
     embed_dim: int = 256
     out_dir: str = "out"
     jobs: int = 1
-    seed: int = 0
+    seed: int = 0  # echoed in report.json; no method draws random numbers
 
     def validate(self) -> None:
         if self.method not in METHODS:

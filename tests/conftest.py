@@ -17,20 +17,27 @@ def make_graph(node_keys, edges, contents=None):
     return CorpusGraph(nodes, edges)
 
 
-def run_cli(args, **kwargs):
-    """Run ``python -m fastinsight *args`` in a subprocess.
+def child_env(**extra):
+    """This process's environment plus ``extra``, for a Python subprocess.
 
     The child's PYTHONPATH starts with the directory that holds the package this
     process imported, so the child runs the same code from any working directory
     (a relative ``PYTHONPATH=src`` would stop resolving under ``cwd=tmp_path``).
-    Keyword arguments go to ``subprocess.run``.
     """
     pkg_root = str(Path(fastinsight.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_cli(args, **kwargs):
+    """Run ``python -m fastinsight *args`` in a subprocess with :func:`child_env`.
+
+    Keyword arguments go to ``subprocess.run``.
+    """
     return subprocess.run([sys.executable, "-m", "fastinsight", *args],
-                          env=env, **kwargs)
+                          env=child_env(), **kwargs)
 
 
 def random_graph(rng: random.Random, n_max=10, p=0.35):

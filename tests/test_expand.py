@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from fastinsight import EmbeddingIndex, frontier, stex, stex_scores
 
 from conftest import make_graph, random_graph, ranked
+
+VIEWS = ("undirected", "out", "in")
 
 
 def _index_from(vectors):
@@ -60,6 +63,18 @@ class TestHandTrace:
         assert list(out.keys()) == ["n", "m"]
 
 
+class TestDirectedViews:
+    def test_frontier_node_scored_from_its_retrieved_in_neighbor(self):
+        # a -> b: under "out", b is on the frontier of {a, x} but has no
+        # out-neighbor at all; A(b) = {a} comes from b's in-neighbors.
+        g = make_graph(["a", "b", "x"], [("a", "b")])
+        index = _index_from({"a": [0.0], "b": [0.5], "x": [0.0]})
+        (s,) = stex_scores(np.array([1.0]), index, g, ranked("a", "x"), beta=1.0, view="out")
+        # r_best = 1 -> rank term 1.0; C_max = min(in-degree 1, 2) = 1 -> no bridge
+        assert (s.key, s.i_struct, s.total) == ("b", 1.0, 1.5)
+        assert len(stex(np.array([1.0]), index, g, ranked("a", "x"), 1.0, view="in")) == 0
+
+
 class TestSingletonRet:
     def test_no_rank_term_with_one_retrieved(self):
         g = make_graph(["a", "n", "z"], [("a", "n"), ("n", "z")])
@@ -82,18 +97,18 @@ class TestProperties:
 
     def test_candidates_are_exactly_the_frontier(self):
         rng = random.Random(7)
-        for _ in range(50):
+        for _, view in itertools.product(range(50), VIEWS):
             g, index, ret = self._random_case(rng)
-            out = stex(np.array([0.3, -0.1, 0.5, 0.2]), index, g, ret, beta=1.0)
-            assert sorted(out.keys()) == frontier(g, ret)
+            out = stex(np.array([0.3, -0.1, 0.5, 0.2]), index, g, ret, beta=1.0, view=view)
+            assert sorted(out.keys()) == frontier(g, ret, view=view)
             assert not set(out.keys()) & set(ret.keys())
 
     def test_i_struct_bounded(self):
         rng = random.Random(8)
         v_q = np.array([0.1, 0.9, -0.4, 0.0])
-        for _ in range(50):
+        for _, view in itertools.product(range(50), VIEWS):
             g, index, ret = self._random_case(rng)
-            for s in stex_scores(v_q, index, g, ret, beta=rng.random() * 3):
+            for s in stex_scores(v_q, index, g, ret, beta=rng.random() * 3, view=view):
                 assert 0.0 <= s.i_struct <= 2.0
 
     def test_zero_beta_matches_dot_product_order(self):

@@ -1,7 +1,12 @@
+import heapq
 import math
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fastinsight import (
     capped_recall_at_k,
@@ -16,7 +21,7 @@ from fastinsight import (
 )
 from fastinsight.errors import GraphFormatError, UnknownNodeError
 
-from conftest import make_graph, random_graph, ranked
+from conftest import child_env, make_graph, random_graph, ranked
 
 
 LN2 = math.log(2)
@@ -46,6 +51,68 @@ def _exhaustive_uncertainty(g, ret_keys, target, mode="cost"):
     for seed in ret_set:
         dfs(seed, {seed}, 0, w[seed])
     return math.inf if best is None else best[-1]
+
+
+def _reference_costs_to_predecessors(g, ret_keys, view, mode):
+    """u-values by the full-run algorithm: Dijkstra over the whole component
+    from the retrieved set, then for every node the cheapest (hops, cost)
+    among its view-neighbors. The early-stopping search must match it."""
+    dist = {}
+    heap = []
+    for seed in set(ret_keys):
+        w = math.log1p(g.degree(seed, view))
+        dist[seed] = (0, w) if mode == "hops" else (w,)
+        heapq.heappush(heap, dist[seed] + (seed,))
+    while heap:
+        *cost_t, node = heapq.heappop(heap)
+        cost = tuple(cost_t)
+        if dist.get(node) != cost:
+            continue
+        for nb in g.neighbors(node, view):
+            w = math.log1p(g.degree(nb, view))
+            cand = (cost[0] + 1, cost[1] + w) if mode == "hops" else (cost[0] + w,)
+            if nb not in dist or cand < dist[nb]:
+                dist[nb] = cand
+                heapq.heappush(heap, cand + (nb,))
+    out = {}
+    for key in g.node_keys:
+        reachable = [dist[nb] for nb in g.neighbors(key, view) if nb in dist]
+        if reachable:
+            out[key] = min(reachable)[-1]
+    return out
+
+
+def _reference_uncertainty(g, ret_keys, target, view, mode):
+    if target in ret_keys:
+        return 0.0
+    return _reference_costs_to_predecessors(g, ret_keys, view, mode).get(target, math.inf)
+
+
+def _reference_tr(g, ret_keys, oracle, view, mode):
+    costs = _reference_costs_to_predecessors(g, ret_keys, view, mode)
+    total = 0.0
+    for key in sorted(oracle):
+        if key in ret_keys:
+            total += 1.0
+        elif key in costs:
+            total += 1.0 / (1.0 + costs[key])
+    return total / len(oracle)
+
+
+@st.composite
+def _metric_case(draw):
+    """Graph with one- and two-way edges plus an edgeless node "far", a
+    non-empty retrieved list and a non-empty gold set over all nodes."""
+    n = draw(st.integers(1, 10))
+    keys = [f"n{i:02d}" for i in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans())
+    edges = []
+    for i, j, both_ways in draw(st.lists(pairs, max_size=3 * n)):
+        edges += [(keys[i], keys[j]), (keys[j], keys[i])] if both_ways else [(keys[i], keys[j])]
+    g = make_graph(keys + ["far"], edges)
+    ret = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+    oracle = set(draw(st.lists(st.sampled_from(g.node_keys), min_size=1, unique=True)))
+    return g, ret, oracle
 
 
 class TestSetMetrics:
@@ -203,6 +270,68 @@ class TestTopologicalRecall:
 
     def test_miss_tr_zero_when_all_retrieved(self, path_graph):
         assert miss_tr(path_graph, ["a", "b", "c"], {"a", "c"}) == 0.0
+
+
+def _hops_case():
+    """In hops mode u(t) is the cost of hub (one hop from s), though c2 (two
+    hops) is cheaper; the gold node "far" keeps the search going until c2
+    has settled too."""
+    leaves = [f"h{i}" for i in range(8)]
+    g = make_graph(
+        ["s", "hub", "t", "c1", "c2", "far"] + leaves,
+        [("s", "hub"), ("hub", "t"), ("s", "c1"), ("c1", "c2"), ("c2", "t"), ("h0", "far")]
+        + [("hub", h) for h in leaves],
+    )
+    return g, ["s"], {"t", "far"}
+
+
+class TestEarlyStop:
+    @settings(max_examples=300, deadline=None)
+    @given(_metric_case(), st.sampled_from(["undirected", "out", "in"]),
+           st.sampled_from(["cost", "hops"]))
+    @example(case=_hops_case(), view="undirected", mode="hops")
+    def test_matches_full_run_reference(self, case, view, mode):
+        # Every node is a target once: retrieved ones, the unreachable "far",
+        # seed neighbors and the rest. Equality, not approx: the early stop
+        # must pick the very same path cost.
+        g, ret, oracle = case
+        for target in g.node_keys:
+            got = uncertainty(g, ret, target, view=view, mode=mode)
+            assert got == _reference_uncertainty(g, set(ret), target, view, mode), target
+        assert (topological_recall(g, ret, oracle, view=view, mode=mode)
+                == _reference_tr(g, set(ret), oracle, view, mode))
+        missed = oracle - set(ret)
+        want = len(missed) / len(oracle) * _reference_tr(g, set(ret), missed, view, mode) if missed else 0.0
+        assert miss_tr(g, ret, oracle, view=view, mode=mode) == want
+
+    def test_targets_settle_only_the_nodes_needed(self):
+        keys = [f"p{i:03d}" for i in range(200)]
+        g = make_graph(keys + ["far"], list(zip(keys, keys[1:])))
+        full = seed_path_costs(g, ["p000"])
+        assert len(full) == 200
+        near = seed_path_costs(g, ["p000"], targets=["p002"])
+        assert list(near) == ["p000", "p001"]  # p001 resolves p002
+        assert all(near[k] == full[k] for k in near)
+        assert seed_path_costs(g, ["p000"], targets=["far"]) == full  # never resolved
+
+
+_TR_SCRIPT = """
+from fastinsight import CorpusGraph, topological_recall
+keys = [f"k{i:03d}" for i in range(120)]
+edges = [(keys[i], keys[i + 1]) for i in range(119)]
+edges += [(keys[i], keys[(7 * i + 3) % 120]) for i in range(0, 120, 5)]
+g = CorpusGraph({k: k for k in keys}, edges)
+print(repr(topological_recall(g, ["k000", "k060"], set(keys[::3]))))
+"""
+
+
+def test_tr_independent_of_hash_seed():
+    # The gold set's iteration order follows PYTHONHASHSEED; the sum of the
+    # per-gold credits must not.
+    outs = [subprocess.run([sys.executable, "-c", _TR_SCRIPT], env=child_env(PYTHONHASHSEED=str(seed)),
+                           capture_output=True, text=True, check=True).stdout
+            for seed in range(4)]
+    assert outs == outs[:1] * 4
 
 
 class TestQrels:
