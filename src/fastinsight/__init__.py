@@ -13,7 +13,14 @@ from .embedding import (
     hash_embed,
     vector_search,
 )
-from .engine import FastInsightConfig, RetrievalTrace, baseline_re2, baseline_vs, fastinsight_retrieve
+from .engine import (
+    FastInsightConfig,
+    RetrievalTrace,
+    baseline_ppr,
+    baseline_re2,
+    baseline_vs,
+    fastinsight_retrieve,
+)
 from .expand import StexScore, stex, stex_scores
 from .graph import CorpusGraph, frontier, load_graph, personalized_pagerank, ppr_scores, save_graph
 from .metrics import (
@@ -37,7 +44,6 @@ from .rerank import (
     build_propagation,
     fuse_latents,
     granker,
-    rerank_plain,
     rerank_pool,
 )
 from .synth import synth_bridge
@@ -56,6 +62,7 @@ __all__ = [
     "Reranker",
     "RetrievalTrace",
     "StexScore",
+    "baseline_ppr",
     "baseline_re2",
     "baseline_vs",
     "build_index",
@@ -74,7 +81,6 @@ __all__ = [
     "personalized_pagerank",
     "ppr_scores",
     "recall_uncapped",
-    "rerank_plain",
     "rerank_pool",
     "save_graph",
     "seed_path_costs",

@@ -95,24 +95,26 @@ class RemoteEmbedder:
             out.append(arr)
         return out
 
-    def encode_query(self, text: str) -> np.ndarray:
-        return self._encode_batch([text])[0]
-
     def encode_node(self, text: str) -> np.ndarray:
         # The HTTP contract is not assumed concurrent-safe; serialize calls.
         with self._lock:
             return self._encode_batch([text])[0]
 
+    encode_query = encode_node
+
 
 class EmbeddingIndex:
-    """Immutable node-key -> vector mapping with a dense matrix for search."""
+    """Immutable node-key -> vector mapping with a dense matrix for search.
 
-    __slots__ = ("keys", "matrix", "dimension", "normalized", "_rows")
+    With ``normalize`` each nonzero vector is scaled to unit L2 norm;
+    otherwise vectors are stored as given.
+    """
 
-    def __init__(self, vectors: Dict[str, np.ndarray], dimension: int, normalized: bool):
+    __slots__ = ("keys", "matrix", "dimension", "_rows")
+
+    def __init__(self, vectors: Dict[str, np.ndarray], dimension: int, normalize: bool = False):
         self.keys: Tuple[str, ...] = tuple(sorted(vectors))
         self.dimension = dimension
-        self.normalized = normalized
         mat = np.zeros((len(self.keys), dimension))
         for i, key in enumerate(self.keys):
             v = np.asarray(vectors[key], dtype=np.float64)
@@ -120,7 +122,8 @@ class EmbeddingIndex:
                 raise DimensionMismatchError(
                     f"vector for {key!r} has shape {v.shape}, expected ({dimension},)"
                 )
-            mat[i] = v
+            norm = np.linalg.norm(v) if normalize else 0.0
+            mat[i] = v / norm if norm > 0 else v
         self.matrix = mat
         self.matrix.setflags(write=False)
         self._rows = {k: i for i, k in enumerate(self.keys)}
@@ -176,10 +179,10 @@ def read_cache(path: str) -> Tuple[Dict[str, np.ndarray], int]:
 def build_index(
     g: CorpusGraph,
     emb: Embedder,
-    normalize: bool = True,
     cache_path: Optional[str] = None,
 ) -> EmbeddingIndex:
-    """Encode every node of the graph into an :class:`EmbeddingIndex`.
+    """Encode every node of the graph into a unit-normalized
+    :class:`EmbeddingIndex`.
 
     When ``cache_path`` exists, cached vectors are reused; only nodes missing
     from the cache are encoded, and the cache is rewritten if anything new was
@@ -208,13 +211,7 @@ def build_index(
             raise EncoderError(key, str(exc)) from exc
         encoded_any = True
 
-    if normalize:
-        for key, v in vectors.items():
-            n = np.linalg.norm(v)
-            if n > 0:
-                vectors[key] = v / n
-
-    index = EmbeddingIndex(vectors, d, normalized=normalize)
+    index = EmbeddingIndex(vectors, d, normalize=True)
     if cache_path is not None and encoded_any:
         write_cache(cache_path, index)
     return index

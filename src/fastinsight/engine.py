@@ -1,21 +1,31 @@
-"""Retrieval pipelines: the interleaved engine and the vector/rerank baselines."""
+"""Retrieval methods: the interleaved engine and the vs / re2 / ppr baselines.
+
+Every method has the signature ``(q, g, index, emb, rr, cfg) -> (RankedList,
+RetrievalTrace)``, embeds the query once (kept as ``trace.query_vector``) and
+books its time under the same stage names: ``embed``, ``vs`` (vector
+search), ``rerank`` (GRanker or a plain rerank), ``expand`` (STeX or
+PageRank). :data:`METHODS` maps each method's name to its function.
+"""
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from .embedding import Embedder, EmbeddingIndex, vector_search
 from .expand import stex
-from .graph import CorpusGraph, View
+from .graph import CorpusGraph, View, personalized_pagerank
 from .ranked import RankedList
-from .rerank import GRankerState, Reranker, granker, rerank_plain
+from .rerank import GRankerState, Reranker, granker, rerank_pool
 
 
 @dataclass(frozen=True)
 class FastInsightConfig:
-    """Hyperparameters of the interleaved retrieval loop."""
+    """Hyperparameters of the retrieval methods."""
 
     batch: int = 10
     alpha: float = 0.2
@@ -36,7 +46,8 @@ class FastInsightConfig:
 
 @dataclass
 class RetrievalTrace:
-    """Per-run bookkeeping: snapshots per iteration, call counts, stage timings."""
+    """Per-run bookkeeping: the query vector, snapshots per iteration, call
+    counts and stage timings."""
 
     snapshots: List[List[str]] = field(default_factory=list)
     vs_calls: int = 0
@@ -44,9 +55,28 @@ class RetrievalTrace:
     stex_calls: int = 0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     initial_vs: Tuple[str, ...] = ()
+    query_vector: Optional[np.ndarray] = None
 
-    def _add(self, stage: str, seconds: float) -> None:
-        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        """Add the wall-clock time of the ``with`` body to stage ``name``."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + time.perf_counter() - t0
+
+
+def _seed(q: str, index: EmbeddingIndex, emb: Embedder, k: int) -> Tuple[RankedList, RetrievalTrace]:
+    """Start a method's trace: embed ``q`` once and vector-search its top ``k``."""
+    trace = RetrievalTrace()
+    with trace.stage("embed"):
+        trace.query_vector = emb.encode_query(q)
+    with trace.stage("vs"):
+        ret = vector_search(trace.query_vector, index, k)
+    trace.vs_calls += 1
+    trace.initial_vs = ret.keys()
+    return ret, trace
 
 
 def fastinsight_retrieve(
@@ -68,61 +98,56 @@ def fastinsight_retrieve(
     """
     if g.n_nodes == 0:
         raise ValueError("graph is empty")
-    trace = RetrievalTrace()
+    ret, trace = _seed(q, index, emb, cfg.batch)
     state = GRankerState()
 
-    t0 = time.perf_counter()
-    v_q = emb.encode_query(q)
-    trace._add("embed", time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    ret = vector_search(v_q, index, cfg.batch)
-    trace.vs_calls += 1
-    trace._add("vs", time.perf_counter() - t0)
-    trace.initial_vs = ret.keys()
-
-    t0 = time.perf_counter()
-    ret = granker(q, ret, g, cfg.alpha, rr, view=view, state=state)
-    trace.granker_calls += 1
-    trace._add("granker", time.perf_counter() - t0)
-    trace.snapshots.append(list(ret.keys()))
-
-    while len(ret) < cfg.budget:
-        t0 = time.perf_counter()
-        additions = stex(v_q, index, g, ret, cfg.beta, view=view)
+    while True:
+        with trace.stage("rerank"):
+            ret = granker(q, ret, g, cfg.alpha, rr, view=view, state=state)
+        trace.granker_calls += 1
+        trace.snapshots.append(list(ret.keys()))
+        if len(ret) >= cfg.budget:
+            break
+        with trace.stage("expand"):
+            additions = stex(trace.query_vector, index, g, ret, cfg.beta, view=view)
         trace.stex_calls += 1
-        trace._add("stex", time.perf_counter() - t0)
         if len(additions) == 0:
             break
-        k_remain = min(len(ret) + cfg.batch, cfg.budget) - len(ret)
-        ret = ret.extend(additions.items()[:k_remain])
-
-        t0 = time.perf_counter()
-        ret = granker(q, ret, g, cfg.alpha, rr, view=view, state=state)
-        trace.granker_calls += 1
-        trace._add("granker", time.perf_counter() - t0)
-        trace.snapshots.append(list(ret.keys()))
-
+        ret = ret.extend(additions.items()[:min(cfg.batch, cfg.budget - len(ret))])
     return ret, trace
 
 
-def baseline_vs(q: str, index: EmbeddingIndex, emb: Embedder, k: int = 10) -> RankedList:
-    """Vector-search baseline: embed the query and take the exact top-k."""
-    return vector_search(emb.encode_query(q), index, k)
+def baseline_vs(q: str, g: CorpusGraph, index: EmbeddingIndex, emb: Embedder,
+                rr: Reranker, cfg: FastInsightConfig) -> Tuple[RankedList, RetrievalTrace]:
+    """Vector-search baseline: the exact top-``budget``."""
+    return _seed(q, index, emb, cfg.budget)
 
 
-def baseline_re2(
-    q: str,
-    index: EmbeddingIndex,
-    emb: Embedder,
-    rr: Reranker,
-    g: CorpusGraph,
-    pool: int = 100,
-    k: int = 10,
-) -> RankedList:
-    """Retrieve-then-rerank baseline: vector-search a pool, rerank, keep top-k."""
-    if pool < k:
-        raise ValueError(f"pool ({pool}) must be >= k ({k})")
-    candidates = baseline_vs(q, index, emb, k=pool)
-    contents = [g.content(key) for key in candidates.keys()]
-    return rerank_plain(q, candidates, rr, k=k, contents=contents)
+def baseline_re2(q: str, g: CorpusGraph, index: EmbeddingIndex, emb: Embedder,
+                 rr: Reranker, cfg: FastInsightConfig) -> Tuple[RankedList, RetrievalTrace]:
+    """Retrieve-then-rerank baseline: vector-search a pool of ``budget``,
+    rerank it, keep the top ``k_report``."""
+    if cfg.budget < cfg.k_report:
+        raise ValueError(f"pool ({cfg.budget}) must be >= k ({cfg.k_report})")
+    pool, trace = _seed(q, index, emb, cfg.budget)
+    with trace.stage("rerank"):
+        ret = rerank_pool(q, pool, g, rr, k=cfg.k_report)
+    return ret, trace
+
+
+def baseline_ppr(q: str, g: CorpusGraph, index: EmbeddingIndex, emb: Embedder,
+                 rr: Reranker, cfg: FastInsightConfig) -> Tuple[RankedList, RetrievalTrace]:
+    """Personalized-PageRank baseline: ``batch`` vector-search seeds, then the
+    best-scored non-seed nodes up to ``budget``."""
+    seeds, trace = _seed(q, index, emb, cfg.batch)
+    with trace.stage("expand"):
+        expanded = personalized_pagerank(g, seeds, k=max(cfg.budget - len(seeds), 1))
+    return seeds.extend(expanded.items()), trace
+
+
+METHODS: Dict[str, Callable[..., Tuple[RankedList, RetrievalTrace]]] = {
+    "vs": baseline_vs,
+    "re2": baseline_re2,
+    "fastinsight": fastinsight_retrieve,
+    "ppr": baseline_ppr,
+}

@@ -280,27 +280,17 @@ def _extract(q: str, keys: Sequence[str], contents: Sequence[str], rr: Reranker)
     return latents
 
 
-def rerank_plain(q: str, ret: RankedList, rr: Reranker, k: Optional[int] = None,
-                 contents: Optional[Sequence[str]] = None) -> RankedList:
-    """Plain model-based rerank: top-k of ``ret`` by head(latent) score.
-
-    ``contents`` must align with ``ret`` when given; otherwise the caller
-    should use :func:`rerank_pool` with a graph. k defaults to |ret| and is
-    clamped to it.
-    """
-    if len(ret) == 0:
-        raise ValueError("ranked list is empty")
-    if contents is None:
-        raise ValueError("contents required (or use rerank_pool)")
-    scores = rr.head_scores(_extract(q, ret.keys(), contents, rr))
-    k = len(ret) if k is None else min(k, len(ret))
-    return RankedList.from_scores(zip(ret.keys(), scores.tolist()), k=k)
-
-
 def rerank_pool(q: str, ret: RankedList, g: CorpusGraph, rr: Reranker,
                 k: Optional[int] = None) -> RankedList:
-    """Plain rerank of graph nodes named by ``ret`` (contents from the graph)."""
-    return rerank_plain(q, ret, rr, k=k, contents=[g.content(key) for key in ret.keys()])
+    """Plain model-based rerank: the top-k graph nodes of ``ret`` by
+    head(latent) score, contents taken from the graph. k defaults to |ret|
+    and is clamped to it."""
+    if len(ret) == 0:
+        raise ValueError("ranked list is empty")
+    keys = ret.keys()
+    scores = rr.head_scores(_extract(q, keys, [g.content(key) for key in keys], rr))
+    k = len(ret) if k is None else min(k, len(ret))
+    return RankedList.from_scores(zip(keys, scores.tolist()), k=k)
 
 
 def granker(q: str, ret: RankedList, g: CorpusGraph, alpha: float, rr: Reranker,

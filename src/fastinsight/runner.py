@@ -17,15 +17,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
+from . import engine
 from . import metrics as m
 from .embedding import HashEmbedder, RemoteEmbedder, build_index, vector_search
-from .engine import FastInsightConfig, baseline_re2, fastinsight_retrieve
+from .engine import FastInsightConfig
 from .errors import FastInsightError, GraphFormatError
-from .graph import load_graph, personalized_pagerank
+from .graph import load_graph
 from .rerank import HashReranker
 
-METHODS = ("vs", "re2", "fastinsight", "ppr")
-STAGES = ("embed", "vs", "granker", "stex", "metrics")
+METHODS = tuple(engine.METHODS)
+STAGES = ("embed", "vs", "rerank", "expand", "metrics")
 WARMUP_QUERIES = 3
 
 METRIC_COLUMNS = (
@@ -127,57 +128,25 @@ def run_eval(cfg: RunConfig) -> Dict:
         gold = qrels.get(qid)
         if not gold:
             raise ValueError(f"no gold nodes in qrels for query {qid!r}")
-        stage = {s: 0.0 for s in STAGES}
         t_start = time.perf_counter()
+        ret, trace = engine.METHODS[cfg.method](text, g, index, emb, rr, ficfg)
+        with trace.stage("metrics"):
+            vs_top = vector_search(trace.query_vector, index, cfg.k)
+            row = {
+                "query_id": qid,
+                "r10": m.capped_recall_at_k(ret, gold, cfg.k),
+                "ndcg10": m.ndcg_at_k(ret, gold, cfg.k),
+                "recall_uncapped": m.recall_uncapped(ret, gold),
+                "tr": m.topological_recall(g, ret, gold),
+                "miss_tr": m.miss_tr(g, ret, gold),
+                "r10_vs": m.capped_recall_at_k(vs_top, gold, cfg.k),
+                "recall_at_budget": m.capped_recall_at_k(ret, gold, cfg.budget),
+            }
+            row["delta_r"] = row["recall_at_budget"] - row["r10_vs"]
 
-        if cfg.method == "fastinsight":
-            ret, trace = fastinsight_retrieve(text, g, index, emb, rr, ficfg)
-            for s, secs in trace.stage_seconds.items():
-                stage[s] += secs
-        else:
-            t0 = time.perf_counter()
-            v_q = emb.encode_query(text)
-            stage["embed"] += time.perf_counter() - t0
-            if cfg.method == "vs":
-                t0 = time.perf_counter()
-                ret = vector_search(v_q, index, cfg.budget)
-                stage["vs"] += time.perf_counter() - t0
-            elif cfg.method == "re2":
-                t0 = time.perf_counter()
-                pool = vector_search(v_q, index, cfg.budget)
-                stage["vs"] += time.perf_counter() - t0
-                t0 = time.perf_counter()
-                ret = baseline_re2(text, index, emb, rr, g, pool=cfg.budget, k=cfg.k)
-                stage["granker"] += time.perf_counter() - t0
-            else:  # ppr
-                t0 = time.perf_counter()
-                seeds = vector_search(v_q, index, cfg.batch)
-                stage["vs"] += time.perf_counter() - t0
-                t0 = time.perf_counter()
-                expanded = personalized_pagerank(g, seeds, k=max(cfg.budget - len(seeds), 1))
-                ret = seeds.extend(expanded.items())
-                stage["stex"] += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        v_q = emb.encode_query(text)
-        seeds10 = vector_search(v_q, index, min(10, len(index)))
-        row = {
-            "query_id": qid,
-            "r10": m.capped_recall_at_k(ret, gold, cfg.k),
-            "ndcg10": m.ndcg_at_k(ret, gold, cfg.k),
-            "recall_uncapped": m.recall_uncapped(ret, gold),
-            "tr": m.topological_recall(g, ret, gold),
-            "miss_tr": m.miss_tr(g, ret, gold),
-            "r10_vs": m.capped_recall_at_k(seeds10, gold, 10),
-            "recall_at_budget": m.capped_recall_at_k(ret, gold, cfg.budget),
-        }
-        row["delta_r"] = row["recall_at_budget"] - row["r10_vs"]
-        stage["metrics"] += time.perf_counter() - t0
-
-        qpt = time.perf_counter() - t_start
-        row["_qpt_ms"] = qpt * 1000.0
+        row["_qpt_ms"] = (time.perf_counter() - t_start) * 1000.0
         for s in STAGES:
-            row[f"_{s}_ms"] = stage[s] * 1000.0
+            row[f"_{s}_ms"] = trace.stage_seconds.get(s, 0.0) * 1000.0
         return row
 
     def safe_worker(qid: str, text: str) -> Dict:
@@ -193,10 +162,13 @@ def run_eval(cfg: RunConfig) -> Dict:
             for qid, text in queries:
                 rows.append(safe_worker(qid, text))
         else:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                futures = [pool.submit(safe_worker, qid, text) for qid, text in queries]
-                for fut in futures:
+            pool = ThreadPoolExecutor(max_workers=cfg.jobs)
+            try:
+                for fut in [pool.submit(safe_worker, qid, text) for qid, text in queries]:
                     rows.append(fut.result())
+            finally:
+                # After a failure, the queries that have not started never run.
+                pool.shutdown(cancel_futures=True)
     except RunError as exc:
         # Flush whatever completed, then abort with the failing query id.
         error = exc

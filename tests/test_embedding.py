@@ -107,7 +107,7 @@ class TestBuildIndex:
 class TestVectorSearch:
     def _index(self, vectors):
         d = len(next(iter(vectors.values())))
-        return EmbeddingIndex({k: np.asarray(v, float) for k, v in vectors.items()}, d, normalized=False)
+        return EmbeddingIndex({k: np.asarray(v, float) for k, v in vectors.items()}, d)
 
     def test_basic(self):
         index = self._index({"a": [1, 0, 0, 0, 0, 0, 0, 0], "b": [0, 1, 0, 0, 0, 0, 0, 0]})
@@ -168,6 +168,6 @@ class TestVectorSearch:
             vector_search(np.ones(9), index, 1)
 
     def test_empty_index_rejected(self):
-        index = EmbeddingIndex({}, 8, normalized=False)
+        index = EmbeddingIndex({}, 8)
         with pytest.raises(ValueError):
             vector_search(np.ones(8), index, 1)

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +15,12 @@ from fastinsight import (
     build_index,
     fastinsight_retrieve,
     granker,
-    rerank_plain,
+    rerank_pool,
     stex,
     vector_search,
 )
+
+from fastinsight.engine import METHODS
 
 from conftest import make_graph
 
@@ -164,37 +167,63 @@ class TestConfig:
 
 class TestBaselines:
     def test_vs_delegates_to_vector_search(self, rich):
-        g, index, emb, _ = rich
-        got = baseline_vs("tok2 filler4", index, emb, k=15)
+        g, index, emb, rr = rich
+        got, trace = baseline_vs("tok2 filler4", g, index, emb, rr, FastInsightConfig(budget=15))
         want = vector_search(emb.encode_query("tok2 filler4"), index, 15)
         assert got.items() == want.items()
 
     def test_re2_pool_equals_k_is_rerank_of_vs(self, rich):
         g, index, emb, rr = rich
-        got = baseline_re2("tok3", index, emb, rr, g, pool=12, k=12)
-        assert sorted(got.keys()) == sorted(baseline_vs("tok3", index, emb, k=12).keys())
+        cfg = FastInsightConfig(budget=12, k_report=12)
+        got, _ = baseline_re2("tok3", g, index, emb, rr, cfg)
+        assert sorted(got.keys()) == sorted(baseline_vs("tok3", g, index, emb, rr, cfg)[0].keys())
 
     def test_re2_composed_oracle(self, rich):
         g, index, emb, rr = rich
-        got = baseline_re2("tok1 tok2", index, emb, rr, g, pool=10, k=3)
-        pool = baseline_vs("tok1 tok2", index, emb, k=10)
-        want = rerank_plain("tok1 tok2", pool, rr,
-                            contents=[g.content(k) for k in pool.keys()])
+        cfg = FastInsightConfig(budget=10, k_report=3)
+        got, _ = baseline_re2("tok1 tok2", g, index, emb, rr, cfg)
+        pool, _ = baseline_vs("tok1 tok2", g, index, emb, rr, cfg)
+        want = rerank_pool("tok1 tok2", pool, g, rr)
         assert list(got.keys()) == list(want.keys())[:3]
 
     def test_re2_rejects_small_pool(self, rich):
         g, index, emb, rr = rich
         with pytest.raises(ValueError):
-            baseline_re2("q", index, emb, rr, g, pool=5, k=10)
+            baseline_re2("q", g, index, emb, rr, FastInsightConfig(batch=5, budget=5, k_report=10))
 
     def test_singleton_corpus(self):
         g = make_graph(["only"], [], contents={"only": "the lone document"})
         emb = HashEmbedder(64)
         index = build_index(g, emb)
-        assert list(baseline_vs("lone", index, emb, k=10).keys()) == ["only"]
-        ret, trace = fastinsight_retrieve("lone", g, index, emb, HashReranker(64),
+        rr = HashReranker(64)
+        got, _ = baseline_vs("lone", g, index, emb, rr, FastInsightConfig())
+        assert list(got.keys()) == ["only"]
+        ret, trace = fastinsight_retrieve("lone", g, index, emb, rr,
                                           FastInsightConfig(batch=1, budget=5))
         assert list(ret.keys()) == ["only"]
+
+
+@pytest.mark.parametrize("method, stages", [
+    ("vs", {"embed", "vs"}),
+    ("re2", {"embed", "vs", "rerank"}),
+    ("fastinsight", {"embed", "vs", "rerank", "expand"}),
+    ("ppr", {"embed", "vs", "expand"}),
+])
+def test_methods_share_stage_names_and_embed_once(rich, method, stages):
+    g, index, emb, rr = rich
+    calls = []
+
+    class CountingEmbedder(HashEmbedder):
+        def encode_query(self, text):
+            calls.append(text)
+            return super().encode_query(text)
+
+    ret, trace = METHODS[method]("tok1 tok2", g, index, CountingEmbedder(64), rr,
+                                 FastInsightConfig(budget=30, k_report=5))
+    assert calls == ["tok1 tok2"]
+    assert set(trace.stage_seconds) == stages
+    assert np.array_equal(trace.query_vector, emb.encode_query("tok1 tok2"))
+    assert trace.vs_calls == 1
 
 
 _VIEWS = st.sampled_from(["undirected", "out", "in"])

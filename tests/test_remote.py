@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -14,7 +15,7 @@ from fastinsight import (
     RemoteReranker,
     build_index,
     hash_embed,
-    rerank_plain,
+    rerank_pool,
 )
 from fastinsight.errors import DimensionMismatchError
 
@@ -85,6 +86,30 @@ class TestRemoteEmbedder:
         with pytest.raises(DimensionMismatchError):
             emb.encode_query("x")
 
+    def test_encode_query_serialized_like_encode_node(self):
+        emb = RemoteEmbedder("http://127.0.0.1:1/unused", DIM)
+        active, overlaps = [0], []
+        guard = threading.Lock()
+
+        def fake_batch(texts):
+            with guard:
+                active[0] += 1
+                overlaps.append(active[0] > 1)
+            time.sleep(0.002)
+            with guard:
+                active[0] -= 1
+            return [hash_embed(t, DIM) for t in texts]
+
+        emb._encode_batch = fake_batch
+        threads = [threading.Thread(target=lambda i=i: [emb.encode_query(f"q{i} {j}") for j in range(10)])
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(overlaps) == 40 and not any(overlaps)
+
     def test_http_error_propagates(self, server):
         import requests
         emb = RemoteEmbedder(f"{server}/missing", DIM)
@@ -113,8 +138,9 @@ class TestRemoteReranker:
         remote = RemoteReranker(f"{server}/rerank", DIM, self._head(tmp_path))
         ret = ranked("d1", "d2", "d3")
         docs = ["first widget doc", "unrelated sprocket", "widget widget widget"]
-        got = rerank_plain("widget", ret, remote, contents=docs)
-        local = rerank_plain("widget", ret, HashReranker(DIM), contents=docs)
+        g = make_graph(ret.keys(), [], contents=dict(zip(ret.keys(), docs)))
+        got = rerank_pool("widget", ret, g, remote)
+        local = rerank_pool("widget", ret, g, HashReranker(DIM))
         assert got.keys() == local.keys()
 
     def test_bad_shape_rejected(self, server, tmp_path):

@@ -11,7 +11,6 @@ from fastinsight import (
     build_propagation,
     fuse_latents,
     granker,
-    rerank_plain,
     rerank_pool,
 )
 from fastinsight.errors import RerankerError
@@ -63,7 +62,7 @@ class TestRerankPlain:
             def head_scores(self, latents):
                 return latents[:, 0]
 
-        got = rerank_plain(q, pool, SimReranker(), contents=[g.content(k) for k in pool.keys()])
+        got = rerank_pool(q, pool, g, SimReranker())
         assert got.keys() == pool.keys()
 
     def test_full_k_is_permutation(self, reranker):

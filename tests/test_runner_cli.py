@@ -1,10 +1,22 @@
 import csv
+import hashlib
 import json
+import time
 
 import pytest
 
-from fastinsight import load_graph, load_qrels, synth_bridge
-from fastinsight.runner import RunConfig, RunError, load_queries, run_eval, run_sweep
+from fastinsight import (
+    HashEmbedder,
+    build_index,
+    capped_recall_at_k,
+    engine,
+    load_graph,
+    load_qrels,
+    runner,
+    synth_bridge,
+    vector_search,
+)
+from fastinsight.runner import METHODS, RunConfig, RunError, load_queries, run_eval, run_sweep
 
 from conftest import run_cli
 
@@ -113,6 +125,98 @@ class TestRunEval:
             run_eval(_cfg(dataset, tmp_path, encoder="remote"))
         with pytest.raises(FileNotFoundError):
             run_eval(_cfg(dataset, tmp_path, nodes="/does/not/exist"))
+
+
+class TestOneRetrievalPerQuery:
+    # sha256 of per_query.csv for each method on the ``dataset`` fixture; a
+    # refactor of the retrieval path must leave every byte of it unchanged.
+    DIGESTS = {
+        "vs": "3aba03c43fe25b89f82d89adfbce9d35945836879ff02d354ef0fec8129514df",
+        "re2": "08ebc31fc46020bc8aeb7e9ce3d06b55958df9c0802c3ce776bf10ebf180d0bf",
+        "fastinsight": "d2eb698c6ccdb5b6817533cea75212135babb78b405c6552edb0fb4d4e135877",
+        "ppr": "5e68320823d75a268e1fcb6f550fe71e5a710e0f091dab96cece90f7a6bf9634",
+    }
+
+    def test_methods_are_the_engine_table(self):
+        assert METHODS == ("vs", "re2", "fastinsight", "ppr") == tuple(engine.METHODS)
+
+    @pytest.mark.parametrize("method", sorted(DIGESTS))
+    def test_per_query_csv_pinned(self, dataset, tmp_path, method):
+        run_eval(_cfg(dataset, tmp_path, method=method))
+        got = hashlib.sha256((tmp_path / "per_query.csv").read_bytes()).hexdigest()
+        assert got == self.DIGESTS[method]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_embedding_and_two_searches_per_query(self, dataset, tmp_path, monkeypatch, method):
+        # Every call in order: the query text for an embedding, None for a
+        # vector search (the method's own, then r10_vs's).
+        calls = []
+        encode_query = HashEmbedder.encode_query
+
+        def counting_encode(self, text):
+            calls.append(text)
+            return encode_query(self, text)
+
+        def counting_search(*args, **kwargs):
+            calls.append(None)
+            return vector_search(*args, **kwargs)
+
+        monkeypatch.setattr(HashEmbedder, "encode_query", counting_encode)
+        monkeypatch.setattr(engine, "vector_search", counting_search)
+        monkeypatch.setattr(runner, "vector_search", counting_search)
+        run_eval(_cfg(dataset, tmp_path, method=method))
+        queries = load_queries(dataset.queries)
+        assert calls == [c for _, text in queries for c in (text, None, None)]
+
+    def test_timings_columns_are_the_stage_names(self, dataset, tmp_path):
+        run_eval(_cfg(dataset, tmp_path))
+        with open(tmp_path / "timings.csv") as fh:
+            assert next(csv.reader(fh)) == ["query_id", "qpt_ms", "embed_ms", "vs_ms",
+                                            "rerank_ms", "expand_ms", "metrics_ms"]
+
+    def test_r10_vs_uses_k(self, dataset, tmp_path):
+        # Gold is each query's 7th vector-search hit: in the top 10, not the top 5.
+        g = load_graph(dataset.nodes, dataset.edges)
+        emb = HashEmbedder(256)
+        index = build_index(g, emb)
+        queries = load_queries(dataset.queries)
+        gold = {qid: vector_search(emb.encode_query(text), index, 10).keys()[6]
+                for qid, text in queries}
+        qrels = tmp_path / "qrels.tsv"
+        qrels.write_text("".join(f"{qid}\t{key}\t1\n" for qid, key in gold.items()))
+        run_eval(_cfg(dataset, tmp_path / "k5", qrels=str(qrels), k=5))
+        with open(tmp_path / "k5" / "per_query.csv") as fh:
+            rows = {row["query_id"]: row for row in csv.DictReader(fh)}
+        for qid, text in queries:
+            v_q = emb.encode_query(text)
+            top5 = capped_recall_at_k(vector_search(v_q, index, 5), {gold[qid]}, 5)
+            top10 = capped_recall_at_k(vector_search(v_q, index, 10), {gold[qid]}, 10)
+            assert (top5, top10) == (0.0, 1.0)
+            assert float(rows[qid]["r10_vs"]) == top5
+
+    def test_failure_cancels_queued_queries(self, dataset, tmp_path, monkeypatch):
+        # Eight queries; the first has no gold, so it fails before retrieval.
+        queries = [{"id": f"q{i:04d}", "text": f"topic{i % 4}term{i}"} for i in range(8)]
+        qfile = tmp_path / "queries.jsonl"
+        qfile.write_text("".join(json.dumps(q) + "\n" for q in queries))
+        qrels = tmp_path / "qrels.tsv"
+        qrels.write_text("".join(f"q{i:04d}\tc000_gold0\t1\n" for i in range(1, 8)))
+        retrieved = []
+        vs = engine.METHODS["vs"]
+
+        def slow_vs(q, *args):
+            retrieved.append(q)
+            time.sleep(0.05)
+            return vs(q, *args)
+
+        monkeypatch.setitem(engine.METHODS, "vs", slow_vs)
+        cfg = _cfg(dataset, tmp_path / "out", method="vs", jobs=2,
+                   queries=str(qfile), qrels=str(qrels))
+        with pytest.raises(RunError, match="q0000"):
+            run_eval(cfg)
+        assert len(retrieved) < 7
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["partial"] is True and report["n_queries"] == 0
 
 
 class TestSweep:
