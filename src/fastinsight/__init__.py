@@ -32,6 +32,7 @@ from .metrics import (
     recall_uncapped,
     seed_path_costs,
     topological_recall,
+    tr_and_miss_tr,
     uncertainty,
 )
 from .ranked import RankedList
@@ -88,6 +89,7 @@ __all__ = [
     "stex_scores",
     "synth_bridge",
     "topological_recall",
+    "tr_and_miss_tr",
     "uncertainty",
     "vector_search",
 ]

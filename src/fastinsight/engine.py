@@ -18,7 +18,7 @@ import numpy as np
 
 from .embedding import Embedder, EmbeddingIndex, vector_search
 from .expand import stex
-from .graph import CorpusGraph, View, personalized_pagerank
+from .graph import CorpusGraph, personalized_pagerank
 from .ranked import RankedList
 from .rerank import GRankerState, Reranker, granker, rerank_pool
 
@@ -54,7 +54,6 @@ class RetrievalTrace:
     granker_calls: int = 0
     stex_calls: int = 0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    initial_vs: Tuple[str, ...] = ()
     query_vector: Optional[np.ndarray] = None
 
     @contextmanager
@@ -75,7 +74,6 @@ def _seed(q: str, index: EmbeddingIndex, emb: Embedder, k: int) -> Tuple[RankedL
     with trace.stage("vs"):
         ret = vector_search(trace.query_vector, index, k)
     trace.vs_calls += 1
-    trace.initial_vs = ret.keys()
     return ret, trace
 
 
@@ -86,7 +84,6 @@ def fastinsight_retrieve(
     emb: Embedder,
     rr: Reranker,
     cfg: FastInsightConfig,
-    view: View = "undirected",
 ) -> Tuple[RankedList, RetrievalTrace]:
     """Run the full interleaved retrieval loop.
 
@@ -103,13 +100,13 @@ def fastinsight_retrieve(
 
     while True:
         with trace.stage("rerank"):
-            ret = granker(q, ret, g, cfg.alpha, rr, view=view, state=state)
+            ret = granker(q, ret, g, cfg.alpha, rr, state=state)
         trace.granker_calls += 1
         trace.snapshots.append(list(ret.keys()))
         if len(ret) >= cfg.budget:
             break
         with trace.stage("expand"):
-            additions = stex(trace.query_vector, index, g, ret, cfg.beta, view=view)
+            additions = stex(trace.query_vector, index, g, ret, cfg.beta)
         trace.stex_calls += 1
         if len(additions) == 0:
             break

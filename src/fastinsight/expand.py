@@ -14,7 +14,7 @@ from typing import List
 import numpy as np
 
 from .embedding import EmbeddingIndex
-from .graph import REVERSE_VIEW, CorpusGraph, View, frontier
+from .graph import CorpusGraph, frontier
 from .ranked import RankedList
 
 
@@ -34,17 +34,16 @@ def stex_scores(
     g: CorpusGraph,
     ret: RankedList,
     beta: float,
-    view: View = "undirected",
 ) -> List[StexScore]:
     """Score every frontier candidate; returned in (total desc, key asc) order.
 
-    For a candidate n with A(n) the retrieved nodes that have n as a
-    view-neighbor (non-empty, since that is how n entered the frontier):
+    For a candidate n with A(n) its retrieved neighbors (non-empty, since
+    that is how n entered the frontier):
       - rank-proximity term 1 - (r_best - 1) / (R_max - 1) when |ret| > 1,
         where r_best is the best (lowest) rank among A(n);
       - bridging term (|A(n)| - 1) / (C_max - 1) when
-        C_max = min(deg(n), |ret|) > 1, with deg(n) counted in the reverse
-        view like A(n), so the term is at most 1;
+        C_max = min(deg(n), |ret|) > 1; A(n) holds at most deg(n) and at
+        most |ret| nodes, so the term is at most 1;
       - i_sim = v_q . v_n (raw dot product, no rescaling);
       - total = i_sim + beta * i_struct.
     """
@@ -52,22 +51,22 @@ def stex_scores(
         raise ValueError("ranked list is empty")
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
-    candidates = frontier(g, ret, view=view)
+    candidates = frontier(g, ret)
     if not candidates:
         return []
 
     v_q = np.asarray(v_q, dtype=np.float64)
     r_max = len(ret)
     retrieved = set(ret.keys())
-    back = REVERSE_VIEW[view]
     scored: List[StexScore] = []
     for key in candidates:
-        adjacent = [v for v in g.neighbors(key, back) if v in retrieved]
+        nbrs = g.neighbors(key)
+        adjacent = [v for v in nbrs if v in retrieved]
         i_struct = 0.0
         if r_max > 1:
             r_best = min(ret.rank(v) for v in adjacent)
             i_struct += 1.0 - (r_best - 1) / (r_max - 1)
-        c_max = min(g.degree(key, back), r_max)
+        c_max = min(len(nbrs), r_max)
         if c_max > 1:
             i_struct += (len(adjacent) - 1) / (c_max - 1)
         i_sim = float(v_q @ index.vector(key))
@@ -84,7 +83,6 @@ def stex(
     g: CorpusGraph,
     ret: RankedList,
     beta: float,
-    view: View = "undirected",
 ) -> RankedList:
     """Rank the one-hop frontier of ``ret``; empty frontier yields an empty list."""
-    return RankedList((s.key, s.total) for s in stex_scores(v_q, index, g, ret, beta, view=view))
+    return RankedList((s.key, s.total) for s in stex_scores(v_q, index, g, ret, beta))

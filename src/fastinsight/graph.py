@@ -1,8 +1,8 @@
 """Corpus graph storage, topology queries, and the PageRank search baseline.
 
-The graph is directed on disk and in memory; most downstream consumers
-(degrees, frontiers, propagation matrices, path metrics) default to the
-undirected view, selectable per call via the ``view`` argument.
+Edges are directed on disk, but every reader (degrees, frontiers,
+propagation matrices, path metrics, PageRank) sees the undirected graph:
+two nodes are neighbors when an edge joins them in either direction.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import gzip
 import io
 import json
 import logging
-from typing import BinaryIO, Dict, Iterable, List, Literal, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, List, Tuple, Union
 
 import numpy as np
 
@@ -25,26 +25,20 @@ from .ranked import RankedList
 
 logger = logging.getLogger(__name__)
 
-View = Literal["out", "in", "undirected"]
-
-# j is an ``out``-neighbor of i exactly when i is an ``in``-neighbor of j, so
-# the nodes that have ``key`` as a view-neighbor are its REVERSE_VIEW[view]
-# neighbors.
-REVERSE_VIEW: Dict[str, View] = {"out": "in", "in": "out", "undirected": "undirected"}
-
 Source = Union[str, bytes, BinaryIO]
 
 
 class CorpusGraph:
-    """Immutable directed graph whose every node carries a textual content.
+    """Immutable undirected graph whose every node carries a textual content.
 
-    Adjacency is pre-indexed in three views (out-neighbors, in-neighbors,
-    undirected union) with neighbor lists sorted ascending by key, so every
-    traversal is deterministic. Instances are safe to share across threads
-    after construction.
+    A node's neighbors are the nodes an edge joins it to in either
+    direction, pre-indexed and sorted ascending by key, so every traversal
+    is deterministic. The directed edges as given are kept only so that
+    :func:`save_graph` writes them back unchanged. Instances are safe to
+    share across threads after construction.
     """
 
-    __slots__ = ("_content", "_out", "_in", "_und", "_keys", "_n_edges", "self_loops_dropped")
+    __slots__ = ("_content", "_out", "_und", "_keys", "_n_edges", "self_loops_dropped")
 
     def __init__(
         self,
@@ -72,16 +66,16 @@ class CorpusGraph:
             names = ", ".join(repr(k) for k in sorted(set(bad)))
             raise GraphValidationError(f"edges reference unknown node keys: {names}")
 
-        out: Dict[str, set] = {k: set() for k in content}
-        inn: Dict[str, set] = {k: set() for k in content}
+        out: Dict[str, List[str]] = {k: [] for k in content}
+        und: Dict[str, List[str]] = {k: [] for k in content}
         for src, dst in edge_set:
-            out[src].add(dst)
-            inn[dst].add(src)
+            out[src].append(dst)
+            und[src].append(dst)
+            und[dst].append(src)
 
         self._content = content
         self._out = {k: tuple(sorted(v)) for k, v in out.items()}
-        self._in = {k: tuple(sorted(v)) for k, v in inn.items()}
-        self._und = {k: tuple(sorted(out[k] | inn[k])) for k in content}
+        self._und = {k: tuple(sorted(set(v))) for k, v in und.items()}
         self._keys = tuple(sorted(content))
         self._n_edges = len(edge_set)
         self.self_loops_dropped = self_loops_dropped
@@ -107,16 +101,15 @@ class CorpusGraph:
         except KeyError:
             raise UnknownNodeError(key) from None
 
-    def neighbors(self, key: str, view: View = "undirected") -> Tuple[str, ...]:
-        """Distinct neighbor keys of ``key`` under the given view, sorted ascending."""
-        table = self._und if view == "undirected" else self._out if view == "out" else self._in
+    def neighbors(self, key: str) -> Tuple[str, ...]:
+        """Distinct neighbor keys of ``key``, sorted ascending."""
         try:
-            return table[key]
+            return self._und[key]
         except KeyError:
             raise UnknownNodeError(key) from None
 
-    def degree(self, key: str, view: View = "undirected") -> int:
-        return len(self.neighbors(key, view))
+    def degree(self, key: str) -> int:
+        return len(self.neighbors(key))
 
 
 def _open_source(source: Source) -> io.BufferedReader:
@@ -184,11 +177,11 @@ def save_graph(g: CorpusGraph, nodes_path: str, edges_path: str) -> None:
             fh.write("\n")
     with open(edges_path, "w", encoding="utf-8") as fh:
         for src in g.node_keys:
-            for dst in g.neighbors(src, view="out"):
+            for dst in g._out[src]:
                 fh.write(f"{src}\t{dst}\n")
 
 
-def frontier(g: CorpusGraph, ret: RankedList, view: View = "undirected") -> List[str]:
+def frontier(g: CorpusGraph, ret: RankedList) -> List[str]:
     """One-hop neighborhood of the retrieved set, minus the set itself.
 
     Returned ascending by key for deterministic iteration.
@@ -196,7 +189,7 @@ def frontier(g: CorpusGraph, ret: RankedList, view: View = "undirected") -> List
     retrieved = set(ret.keys())
     out: set = set()
     for key in retrieved:
-        out.update(g.neighbors(key, view))
+        out.update(g.neighbors(key))
     return sorted(out - retrieved)
 
 
@@ -205,13 +198,12 @@ def ppr_scores(
     seeds: RankedList,
     restart: float = 0.15,
     tol: float = 1e-8,
-    view: View = "undirected",
     max_iter: int = 1000,
 ) -> Dict[str, float]:
     """Converged personalized-PageRank score for every node.
 
     Iterates p = (1 - restart) * (M p + dangling_mass * p0) + restart * p0
-    with M the column-normalized transition matrix under ``view`` and p0 the
+    with M the column-normalized transition matrix of the graph and p0 the
     L1-normalized seed score distribution, until the L1 change drops below
     ``tol``. Mass on dangling nodes is redistributed to the seed distribution,
     so scores always sum to 1.
@@ -240,7 +232,7 @@ def ppr_scores(
     m = np.zeros((n, n))
     dangling = np.zeros(n, dtype=bool)
     for j, key in enumerate(keys):
-        nbrs = g.neighbors(key, view)
+        nbrs = g.neighbors(key)
         if not nbrs:
             dangling[j] = True
             continue
@@ -269,12 +261,11 @@ def personalized_pagerank(
     restart: float = 0.15,
     tol: float = 1e-8,
     k: int = 10,
-    view: View = "undirected",
     max_iter: int = 1000,
 ) -> RankedList:
     """Top-k nodes outside the seed set by converged personalized-PageRank
     score, ties broken by ascending key."""
-    scores = ppr_scores(g, seeds, restart=restart, tol=tol, view=view, max_iter=max_iter)
+    scores = ppr_scores(g, seeds, restart=restart, tol=tol, max_iter=max_iter)
     seed_keys = set(seeds.keys())
     scored = [(key, s) for key, s in scores.items() if key not in seed_keys]
     return RankedList.from_scores(scored, k=k)

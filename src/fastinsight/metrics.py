@@ -13,7 +13,7 @@ import math
 from typing import Dict, Iterable, List, Literal, Optional, Sequence, Set, Tuple, Union
 
 from .errors import GraphFormatError, UnknownNodeError
-from .graph import CorpusGraph, View
+from .graph import CorpusGraph
 from .ranked import RankedList
 
 PathMode = Literal["cost", "hops"]
@@ -30,7 +30,6 @@ def _ret_keys(ret: RetLike) -> Tuple[str, ...]:
 def seed_path_costs(
     g: CorpusGraph,
     ret_keys: Sequence[str],
-    view: View = "undirected",
     mode: PathMode = "cost",
     targets: Optional[Iterable[str]] = None,
 ) -> Dict[str, float]:
@@ -43,7 +42,7 @@ def seed_path_costs(
 
     Without ``targets`` every node reachable from the seeds is returned. With
     ``targets`` the search stops as soon as each target has at least one
-    settled view-neighbor, and only the nodes settled so far are returned.
+    settled neighbor, and only the nodes settled so far are returned.
     Either way the dict lists nodes in settle order, which is non-decreasing
     in (hops, cost), and every cost in it is final.
     """
@@ -53,7 +52,7 @@ def seed_path_costs(
     def node_weight(key: str) -> float:
         w = weight.get(key)
         if w is None:
-            w = weight[key] = math.log1p(len(g.neighbors(key, view)))
+            w = weight[key] = math.log1p(len(g.neighbors(key)))
         return w
 
     best: Dict[str, Tuple[int, float]] = {}
@@ -63,11 +62,11 @@ def seed_path_costs(
     heapq.heapify(heap)
 
     pending: Optional[Set[str]] = None
-    resolves: Dict[str, List[str]] = {}  # node -> targets it is a view-neighbor of
+    resolves: Dict[str, List[str]] = {}  # node -> targets it is a neighbor of
     if targets is not None:
         pending = set(targets)
         for t in pending:
-            for nb in g.neighbors(t, view):
+            for nb in g.neighbors(t):
                 resolves.setdefault(nb, []).append(t)
 
     settled: Dict[str, float] = {}
@@ -78,7 +77,7 @@ def seed_path_costs(
         settled[node] = cost
         if pending is not None:
             pending.difference_update(resolves.get(node, ()))
-        for nb in g.neighbors(node, view):
+        for nb in g.neighbors(node):
             if nb in settled:
                 continue
             cand = (hops + step, cost + node_weight(nb))
@@ -92,7 +91,6 @@ def uncertainty(
     g: CorpusGraph,
     ret_keys: Iterable[str],
     target: str,
-    view: View = "undirected",
     mode: PathMode = "cost",
 ) -> float:
     """Accumulated log-degree along the cheapest retrieved-to-target path.
@@ -107,7 +105,7 @@ def uncertainty(
         return 0.0
     if not ret_set:
         return math.inf
-    costs = _costs_to_predecessors(g, tuple(sorted(ret_set)), (target,), view, mode)
+    costs = _costs_to_predecessors(g, tuple(sorted(ret_set)), (target,), mode)
     return costs.get(target, math.inf)
 
 
@@ -115,20 +113,19 @@ def _costs_to_predecessors(
     g: CorpusGraph,
     ret_keys: Tuple[str, ...],
     targets: Sequence[str],
-    view: View,
     mode: PathMode,
 ) -> Dict[str, float]:
     """u-values of ``targets``: the seed path cost of each one's cheapest
-    view-neighbor. Unreachable targets are left out.
+    neighbor. Unreachable targets are left out.
 
     Nodes settle in non-decreasing (hops, cost) order, so a target's first
-    view-neighbor in settle order is its cheapest one in both modes.
+    neighbor in settle order is its cheapest one in both modes.
     """
-    settled = seed_path_costs(g, ret_keys, view=view, mode=mode, targets=targets)
+    settled = seed_path_costs(g, ret_keys, mode=mode, targets=targets)
     order = {key: i for i, key in enumerate(settled)}
     out: Dict[str, float] = {}
     for t in targets:
-        first = min((nb for nb in g.neighbors(t, view) if nb in order),
+        first = min((nb for nb in g.neighbors(t) if nb in order),
                     key=order.__getitem__, default=None)
         if first is not None:
             out[t] = settled[first]
@@ -165,14 +162,19 @@ def ndcg_at_k(ret: RetLike, oracle: Set[str], k: int) -> float:
     return dcg / ideal
 
 
-def topological_recall(
+def tr_and_miss_tr(
     g: CorpusGraph,
     ret: RetLike,
     oracle: Set[str],
-    view: View = "undirected",
     mode: PathMode = "cost",
-) -> float:
-    """Mean over gold nodes of 1 / (1 + u); unreachable nodes contribute 0."""
+) -> Tuple[float, float]:
+    """Topological recall and its missed-gold component, from one search.
+
+    TR is the mean over gold nodes of 1 / (1 + u), with u = 0 for retrieved
+    gold and unreachable nodes contributing 0. miss_tr equals
+    (|oracle \\ ret| / |oracle|) * TR(ret, oracle \\ ret), zero when every
+    gold node was retrieved. Always tr == recall_uncapped + miss_tr.
+    """
     if not oracle:
         raise ValueError("oracle set is empty")
     ret_keys = tuple(sorted(set(_ret_keys(ret))))
@@ -180,39 +182,43 @@ def topological_recall(
         if key not in g:
             raise UnknownNodeError(key)
     if not ret_keys:
-        return 0.0
+        return 0.0, 0.0
     ret_set = set(ret_keys)
-    costs = _costs_to_predecessors(g, ret_keys, sorted(oracle - ret_set), view, mode)
-    total = 0.0
-    for key in sorted(oracle):  # a fixed summation order, whatever the set's hash order
-        if key in ret_set:
-            total += 1.0
-        else:
-            u = costs.get(key, math.inf)
-            if math.isfinite(u):
-                total += 1.0 / (1.0 + u)
-    return total / len(oracle)
+    missed = sorted(oracle - ret_set)
+    costs = _costs_to_predecessors(g, ret_keys, missed, mode)
+
+    def credit_sum(keys: List[str]) -> float:
+        total = 0.0
+        for key in keys:  # sorted: a fixed summation order, whatever the set's hash order
+            if key in ret_set:
+                total += 1.0
+            else:
+                u = costs.get(key, math.inf)
+                if math.isfinite(u):
+                    total += 1.0 / (1.0 + u)
+        return total
+
+    tr = credit_sum(sorted(oracle)) / len(oracle)
+    if not missed:
+        return tr, 0.0
+    return tr, len(missed) / len(oracle) * (credit_sum(missed) / len(missed))
 
 
-def miss_tr(
-    g: CorpusGraph,
-    ret: RetLike,
-    oracle: Set[str],
-    view: View = "undirected",
-    mode: PathMode = "cost",
-) -> float:
-    """Partial-credit component for gold nodes not retrieved.
+def topological_recall(g: CorpusGraph, ret: RetLike, oracle: Set[str],
+                       mode: PathMode = "cost") -> float:
+    """Mean over gold nodes of 1 / (1 + u); unreachable nodes contribute 0."""
+    return tr_and_miss_tr(g, ret, oracle, mode)[0]
 
-    Equals (|oracle \\ ret| / |oracle|) * TR(ret, oracle \\ ret); zero when
-    every gold node was retrieved. Always tr == recall_uncapped + miss_tr.
-    """
+
+def miss_tr(g: CorpusGraph, ret: RetLike, oracle: Set[str], mode: PathMode = "cost") -> float:
+    """Partial-credit component for gold nodes not retrieved (see
+    :func:`tr_and_miss_tr`); zero, without a path search, when every gold
+    node was retrieved."""
     if not oracle:
         raise ValueError("oracle set is empty")
-    missed = oracle - set(_ret_keys(ret))
-    if not missed:
+    if oracle <= set(_ret_keys(ret)):
         return 0.0
-    frac = len(missed) / len(oracle)
-    return frac * topological_recall(g, ret, missed, view=view, mode=mode)
+    return tr_and_miss_tr(g, ret, oracle, mode)[1]
 
 
 def marginal_recall_gain(

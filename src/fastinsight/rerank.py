@@ -19,7 +19,7 @@ import requests
 
 from .embedding import hash_embed
 from .errors import RerankerError
-from .graph import REVERSE_VIEW, CorpusGraph, View
+from .graph import CorpusGraph
 from .ranked import RankedList
 
 # A latent batch is a |ret| x d_h float matrix, rows aligned with the ranked
@@ -177,7 +177,7 @@ class GRankerState:
     0/1 adjacency of every node already seen together with each node's
     full-graph degree. Both are kept in insertion order and gathered in the
     current rank order, so a call only extracts and looks up the nodes that
-    are new to the list. One state serves one (query, graph, view, reranker);
+    are new to the list. One state serves one (query, graph, reranker);
     :func:`fastinsight_retrieve` makes one per call and drops it on return.
     """
 
@@ -198,14 +198,13 @@ class GRankerState:
                 self._latent_row[k] = len(self._latent_row)
         return self._latents[_rows(self._latent_row, keys)]
 
-    def induced(self, keys: Sequence[str], g: CorpusGraph, view: View) -> Tuple[np.ndarray, np.ndarray]:
+    def induced(self, keys: Sequence[str], g: CorpusGraph) -> Tuple[np.ndarray, np.ndarray]:
         """Induced adjacency of ``keys`` and their full-graph degrees (zero
-        replaced by 1), in the order of ``keys``. Unseen keys are added first:
-        their rows from their own neighbors, their columns from the seen
-        nodes that have them as neighbors."""
+        replaced by 1), in the order of ``keys``. Unseen keys are added first,
+        each with a row and a column linking it to its seen neighbors."""
         new = [k for k in keys if k not in self._node_row]
         if new:
-            deg = [max(g.degree(k, view), 1) for k in new]  # raises before any change
+            deg = [max(g.degree(k), 1) for k in new]  # raises before any change
             n0 = len(self._node_row)
             for k in new:
                 self._node_row[k] = len(self._node_row)
@@ -213,32 +212,28 @@ class GRankerState:
             a = np.zeros((len(row_of), len(row_of)))
             a[:n0, :n0] = self._adjacency
             for i, key in enumerate(new, start=n0):
-                for nb in g.neighbors(key, view):
+                for nb in g.neighbors(key):
                     j = row_of.get(nb)
                     if j is not None:
-                        a[i, j] = 1.0
-                for nb in g.neighbors(key, REVERSE_VIEW[view]):
-                    j = row_of.get(nb)
-                    if j is not None:
-                        a[j, i] = 1.0
+                        a[i, j] = a[j, i] = 1.0
             self._adjacency = a
             self._degrees = np.concatenate([self._degrees, np.asarray(deg, dtype=np.float64)])
         idx = _rows(self._node_row, keys)
         return self._adjacency[np.ix_(idx, idx)], self._degrees[idx]
 
 
-def build_propagation(ret: RankedList, g: CorpusGraph, view: View = "undirected",
+def build_propagation(ret: RankedList, g: CorpusGraph,
                       state: Optional[GRankerState] = None) -> PropagationMatrix:
     """Construct the propagation matrix for the subgraph induced by ``ret``.
 
-    A is the induced adjacency under ``view``; D holds full-graph degrees
+    A is the induced (symmetric) adjacency; D holds full-graph degrees
     (zero degrees replaced by 1 to stay invertible; such nodes have empty A
     rows anyway); W = A @ D^-1 weights each neighbor by the reciprocal of its
     full-graph degree; P row-normalizes W. Rows with no neighbor are flagged
     isolated and left all-zero. A ``state`` from earlier calls on a shorter
     list of the same query supplies the adjacency of the nodes it has seen.
     """
-    a, deg = (GRankerState() if state is None else state).induced(ret.keys(), g, view)
+    a, deg = (GRankerState() if state is None else state).induced(ret.keys(), g)
     w = a / deg[np.newaxis, :]
     row_sums = w.sum(axis=1)
     isolated = frozenset(int(i) for i in np.flatnonzero(row_sums == 0.0))
@@ -294,7 +289,7 @@ def rerank_pool(q: str, ret: RankedList, g: CorpusGraph, rr: Reranker,
 
 
 def granker(q: str, ret: RankedList, g: CorpusGraph, alpha: float, rr: Reranker,
-            view: View = "undirected", state: Optional[GRankerState] = None) -> RankedList:
+            state: Optional[GRankerState] = None) -> RankedList:
     """Graph-aware rerank: extract latents, smooth them over the induced
     subgraph, score with the head, and reorder.
 
@@ -308,7 +303,7 @@ def granker(q: str, ret: RankedList, g: CorpusGraph, alpha: float, rr: Reranker,
     if state is None:
         state = GRankerState()
     h = state.latents(q, ret.keys(), g, rr)
-    p = build_propagation(ret, g, view=view, state=state)
+    p = build_propagation(ret, g, state=state)
     fused = fuse_latents(h, p, alpha)
     scores = rr.head_scores(fused)
     return RankedList.from_scores(zip(ret.keys(), scores.tolist()))

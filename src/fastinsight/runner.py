@@ -71,6 +71,8 @@ class RunConfig:
             raise ValueError("--remote-url is required with the remote encoder")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.method == "re2" and self.budget < self.k:
+            raise ValueError(f"re2 needs budget ({self.budget}) >= k ({self.k})")
         # FastInsightConfig re-validates batch/alpha/beta/budget relationships.
         FastInsightConfig(batch=self.batch, alpha=self.alpha, beta=self.beta,
                           budget=self.budget, k_report=self.k)
@@ -132,17 +134,18 @@ def run_eval(cfg: RunConfig) -> Dict:
         ret, trace = engine.METHODS[cfg.method](text, g, index, emb, rr, ficfg)
         with trace.stage("metrics"):
             vs_top = vector_search(trace.query_vector, index, cfg.k)
+            tr, miss_tr = m.tr_and_miss_tr(g, ret, gold)
             row = {
                 "query_id": qid,
                 "r10": m.capped_recall_at_k(ret, gold, cfg.k),
                 "ndcg10": m.ndcg_at_k(ret, gold, cfg.k),
                 "recall_uncapped": m.recall_uncapped(ret, gold),
-                "tr": m.topological_recall(g, ret, gold),
-                "miss_tr": m.miss_tr(g, ret, gold),
+                "tr": tr,
+                "miss_tr": miss_tr,
                 "r10_vs": m.capped_recall_at_k(vs_top, gold, cfg.k),
                 "recall_at_budget": m.capped_recall_at_k(ret, gold, cfg.budget),
+                "delta_r": m.marginal_recall_gain(ret, vs_top, gold, cfg.budget, cfg.k),
             }
-            row["delta_r"] = row["recall_at_budget"] - row["r10_vs"]
 
         row["_qpt_ms"] = (time.perf_counter() - t_start) * 1000.0
         for s in STAGES:

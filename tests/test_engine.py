@@ -74,8 +74,9 @@ class TestLoop:
         assert trace.vs_calls == 1
         assert trace.granker_calls == 10  # 1 seed pass + 9 expansion passes
         assert trace.stex_calls == 9
-        assert set(trace.initial_vs) == set(trace.snapshots[0])
-        assert len(trace.initial_vs) == 10
+        initial_vs = vector_search(trace.query_vector, index, 10).keys()
+        assert set(initial_vs) == set(trace.snapshots[0])
+        assert len(initial_vs) == 10
 
     def test_snapshots_grow_by_batch(self, rich):
         g, index, emb, rr = rich
@@ -226,9 +227,6 @@ def test_methods_share_stage_names_and_embed_once(rich, method, stages):
     assert trace.vs_calls == 1
 
 
-_VIEWS = st.sampled_from(["undirected", "out", "in"])
-
-
 @st.composite
 def _graph_and_config(draw):
     n = draw(st.integers(2, 24))
@@ -243,7 +241,7 @@ def _graph_and_config(draw):
     batch = draw(st.integers(1, 5))
     cfg = FastInsightConfig(batch=batch, budget=draw(st.integers(batch, 30)),
                             alpha=draw(st.floats(0.0, 1.0)), beta=draw(st.floats(0.0, 3.0)))
-    return make_graph(keys, edges, contents=contents), cfg, draw(_VIEWS)
+    return make_graph(keys, edges, contents=contents), cfg
 
 
 @settings(max_examples=100, deadline=None)
@@ -251,24 +249,22 @@ def _graph_and_config(draw):
 def test_engine_matches_stateless_granker_loop(case, q):
     # The engine reuses latents and adjacency across granker calls; a loop of
     # stateless calls recomputes both every time. They must agree bit for bit.
-    g, cfg, view = case
+    g, cfg = case
     emb, rr = HashEmbedder(16), HashReranker(16)
     index = build_index(g, emb)
 
     def engine():
-        return fastinsight_retrieve(q, g, index, emb, rr, cfg, view=view)[0].items()
+        return fastinsight_retrieve(q, g, index, emb, rr, cfg)[0].items()
 
     def stateless_loop():
         v_q = emb.encode_query(q)
-        ret = granker(q, vector_search(v_q, index, cfg.batch), g, cfg.alpha, rr, view=view)
+        ret = granker(q, vector_search(v_q, index, cfg.batch), g, cfg.alpha, rr)
         while len(ret) < cfg.budget:
-            adds = stex(v_q, index, g, ret, cfg.beta, view=view)
+            adds = stex(v_q, index, g, ret, cfg.beta)
             if len(adds) == 0:
                 break
             take = min(len(ret) + cfg.batch, cfg.budget) - len(ret)
-            ret = granker(q, ret.extend(adds.items()[:take]), g, cfg.alpha, rr, view=view)
+            ret = granker(q, ret.extend(adds.items()[:take]), g, cfg.alpha, rr)
         return ret.items()
 
-    # Directed views included: stex takes A(n) from the reverse view, so a
-    # frontier node always has a retrieved neighbor and neither side raises.
     assert engine() == stateless_loop()

@@ -67,15 +67,22 @@ class TestLoad:
         assert g.n_edges == 1
 
     def test_roundtrip(self, tmp_path):
-        g = make_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "b"), ("d", "a")])
+        # Direction survives on disk only: save -> load -> save writes the
+        # same edges file, listing exactly the input's distinct directed edges.
+        edges = [("a", "b"), ("c", "b"), ("d", "a"), ("b", "a"), ("a", "b")]
+        g = make_graph(["a", "b", "c", "d"], edges)
         np_, ep = str(tmp_path / "n.jsonl"), str(tmp_path / "e.tsv")
         save_graph(g, np_, ep)
         g2 = load_graph(np_, ep)
+        save_graph(g2, str(tmp_path / "n2.jsonl"), str(tmp_path / "e2.tsv"))
+        written = (tmp_path / "e.tsv").read_bytes()
+        assert (tmp_path / "e2.tsv").read_bytes() == written
+        lines = written.decode().splitlines()
+        assert sorted(tuple(line.split("\t")) for line in lines) == sorted(set(edges))
         assert g2.node_keys == g.node_keys
         for k in g.node_keys:
             assert g2.content(k) == g.content(k)
-            for view in ("out", "in", "undirected"):
-                assert g2.neighbors(k, view) == g.neighbors(k, view)
+            assert g2.neighbors(k) == g.neighbors(k)
 
     def test_empty_key_rejected(self):
         with pytest.raises(GraphValidationError):
@@ -90,12 +97,12 @@ class TestTopology:
         g = make_graph(["a", "b", "x"], [("a", "b")])
         assert g.neighbors("x") == ()
 
-    def test_directed_views(self):
-        g = make_graph(["a", "b"], [("a", "b")])
-        assert g.neighbors("a", "out") == ("b",)
-        assert g.neighbors("a", "in") == ()
-        assert g.neighbors("b", "in") == ("a",)
-        assert g.degree("a", "undirected") == 1
+    def test_edges_read_both_ways(self):
+        one_way = make_graph(["a", "b"], [("a", "b")])
+        assert one_way.neighbors("a") == ("b",)
+        assert one_way.neighbors("b") == ("a",)
+        two_way = make_graph(["a", "b"], [("a", "b"), ("b", "a")])
+        assert two_way.degree("a") == two_way.degree("b") == 1
 
     def test_unknown_key(self, path_graph):
         with pytest.raises(UnknownNodeError):
@@ -122,7 +129,7 @@ class TestTopology:
             assert f == sorted(f)
 
 
-def _ppr_power_oracle(g, seeds, restart, view="undirected", steps=10_000):
+def _ppr_power_oracle(g, seeds, restart, steps=10_000):
     """Dense power iteration, dangling mass to the seed distribution."""
     keys = g.node_keys
     idx = {k: i for i, k in enumerate(keys)}
@@ -134,7 +141,7 @@ def _ppr_power_oracle(g, seeds, restart, view="undirected", steps=10_000):
     m = np.zeros((n, n))
     dangling = []
     for j, k in enumerate(keys):
-        nbrs = g.neighbors(k, view)
+        nbrs = g.neighbors(k)
         if not nbrs:
             dangling.append(j)
             continue

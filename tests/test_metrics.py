@@ -17,6 +17,7 @@ from fastinsight import (
     recall_uncapped,
     seed_path_costs,
     topological_recall,
+    tr_and_miss_tr,
     uncertainty,
 )
 from fastinsight.errors import GraphFormatError, UnknownNodeError
@@ -53,14 +54,14 @@ def _exhaustive_uncertainty(g, ret_keys, target, mode="cost"):
     return math.inf if best is None else best[-1]
 
 
-def _reference_costs_to_predecessors(g, ret_keys, view, mode):
+def _reference_costs_to_predecessors(g, ret_keys, mode):
     """u-values by the full-run algorithm: Dijkstra over the whole component
     from the retrieved set, then for every node the cheapest (hops, cost)
-    among its view-neighbors. The early-stopping search must match it."""
+    among its neighbors. The early-stopping search must match it."""
     dist = {}
     heap = []
     for seed in set(ret_keys):
-        w = math.log1p(g.degree(seed, view))
+        w = math.log1p(g.degree(seed))
         dist[seed] = (0, w) if mode == "hops" else (w,)
         heapq.heappush(heap, dist[seed] + (seed,))
     while heap:
@@ -68,28 +69,28 @@ def _reference_costs_to_predecessors(g, ret_keys, view, mode):
         cost = tuple(cost_t)
         if dist.get(node) != cost:
             continue
-        for nb in g.neighbors(node, view):
-            w = math.log1p(g.degree(nb, view))
+        for nb in g.neighbors(node):
+            w = math.log1p(g.degree(nb))
             cand = (cost[0] + 1, cost[1] + w) if mode == "hops" else (cost[0] + w,)
             if nb not in dist or cand < dist[nb]:
                 dist[nb] = cand
                 heapq.heappush(heap, cand + (nb,))
     out = {}
     for key in g.node_keys:
-        reachable = [dist[nb] for nb in g.neighbors(key, view) if nb in dist]
+        reachable = [dist[nb] for nb in g.neighbors(key) if nb in dist]
         if reachable:
             out[key] = min(reachable)[-1]
     return out
 
 
-def _reference_uncertainty(g, ret_keys, target, view, mode):
+def _reference_uncertainty(g, ret_keys, target, mode):
     if target in ret_keys:
         return 0.0
-    return _reference_costs_to_predecessors(g, ret_keys, view, mode).get(target, math.inf)
+    return _reference_costs_to_predecessors(g, ret_keys, mode).get(target, math.inf)
 
 
-def _reference_tr(g, ret_keys, oracle, view, mode):
-    costs = _reference_costs_to_predecessors(g, ret_keys, view, mode)
+def _reference_tr(g, ret_keys, oracle, mode):
+    costs = _reference_costs_to_predecessors(g, ret_keys, mode)
     total = 0.0
     for key in sorted(oracle):
         if key in ret_keys:
@@ -287,22 +288,23 @@ def _hops_case():
 
 class TestEarlyStop:
     @settings(max_examples=300, deadline=None)
-    @given(_metric_case(), st.sampled_from(["undirected", "out", "in"]),
-           st.sampled_from(["cost", "hops"]))
-    @example(case=_hops_case(), view="undirected", mode="hops")
-    def test_matches_full_run_reference(self, case, view, mode):
+    @given(_metric_case(), st.sampled_from(["cost", "hops"]))
+    @example(case=_hops_case(), mode="hops")
+    def test_matches_full_run_reference(self, case, mode):
         # Every node is a target once: retrieved ones, the unreachable "far",
         # seed neighbors and the rest. Equality, not approx: the early stop
-        # must pick the very same path cost.
+        # must pick the very same path cost, and the shared search the very
+        # same tr and miss_tr.
         g, ret, oracle = case
         for target in g.node_keys:
-            got = uncertainty(g, ret, target, view=view, mode=mode)
-            assert got == _reference_uncertainty(g, set(ret), target, view, mode), target
-        assert (topological_recall(g, ret, oracle, view=view, mode=mode)
-                == _reference_tr(g, set(ret), oracle, view, mode))
+            got = uncertainty(g, ret, target, mode=mode)
+            assert got == _reference_uncertainty(g, set(ret), target, mode), target
+        want_tr = _reference_tr(g, set(ret), oracle, mode)
+        assert topological_recall(g, ret, oracle, mode=mode) == want_tr
         missed = oracle - set(ret)
-        want = len(missed) / len(oracle) * _reference_tr(g, set(ret), missed, view, mode) if missed else 0.0
-        assert miss_tr(g, ret, oracle, view=view, mode=mode) == want
+        want = len(missed) / len(oracle) * _reference_tr(g, set(ret), missed, mode) if missed else 0.0
+        assert miss_tr(g, ret, oracle, mode=mode) == want
+        assert tr_and_miss_tr(g, ret, oracle, mode=mode) == (want_tr, want)
 
     def test_targets_settle_only_the_nodes_needed(self):
         keys = [f"p{i:03d}" for i in range(200)]

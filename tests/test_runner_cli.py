@@ -256,3 +256,14 @@ class TestCli:
                          "--out", str(tmp_path / "o")], tmp_path)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error:"), proc.stderr
+
+    def test_re2_pool_below_k_fails_before_any_work(self, dataset, tmp_path):
+        out = tmp_path / "o"
+        proc = _run_cli(["run", "--nodes", dataset.nodes, "--edges", dataset.edges,
+                         "--queries", dataset.queries, "--qrels", dataset.qrels,
+                         "--method", "re2", "--budget", "5", "--batch", "5",
+                         "--out", str(out)], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error:"), proc.stderr
+        for name in ("report.json", "per_query.csv", "timings.csv"):
+            assert not (out / name).exists(), name
