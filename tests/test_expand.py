@@ -60,6 +60,19 @@ class TestHandTrace:
         assert list(out.keys()) == ["n", "m"]
 
 
+class TestDirectedViews:
+    def test_frontier_node_scored_from_its_retrieved_in_neighbor(self):
+        # a -> b is read both ways: b is on the frontier of {a, x} with
+        # A(b) = {a}, and a is on the frontier of {b, x} with A(a) = {b}.
+        g = make_graph(["a", "b", "x"], [("a", "b")])
+        index = _index_from({"a": [0.25], "b": [0.5], "x": [0.0]})
+        (s,) = stex_scores(np.array([1.0]), index, g, ranked("a", "x"), beta=1.0)
+        # r_best = 1 -> rank term 1.0; C_max = min(degree 1, 2) = 1 -> no bridge
+        assert (s.key, s.i_struct, s.total) == ("b", 1.0, 1.5)
+        (s,) = stex_scores(np.array([1.0]), index, g, ranked("b", "x"), beta=1.0)
+        assert (s.key, s.i_struct, s.total) == ("a", 1.0, 1.25)
+
+
 class TestSingletonRet:
     def test_no_rank_term_with_one_retrieved(self):
         g = make_graph(["a", "n", "z"], [("a", "n"), ("n", "z")])

@@ -97,7 +97,8 @@ class TestTopology:
         g = make_graph(["a", "b", "x"], [("a", "b")])
         assert g.neighbors("x") == ()
 
-    def test_edges_read_both_ways(self):
+    def test_directed_views(self):
+        # Directed input edges have one view, the undirected one.
         one_way = make_graph(["a", "b"], [("a", "b")])
         assert one_way.neighbors("a") == ("b",)
         assert one_way.neighbors("b") == ("a",)
