@@ -14,7 +14,7 @@ import requests
 
 from .errors import CacheInvalidError, DimensionMismatchError, EncoderError, UnknownNodeError
 from .graph import CorpusGraph
-from .ranked import RankedList
+from .ranked import RankedList, top_rows
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -234,10 +234,5 @@ def vector_search(v_q: np.ndarray, index: EmbeddingIndex, k: int) -> RankedList:
             f"query dimension {v_q.shape} != index dimension ({index.dimension},)"
         )
     scores = index.matrix @ v_q
-    n = len(scores)
-    k = min(k, n)
-    # Every row that ties the k-th best score, then (score desc, row asc);
-    # rows are in ascending key order, so this is RankedList.from_scores.
-    rows = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
-    rows = rows[np.lexsort((rows, -scores[rows]))][:k]
+    rows = top_rows(scores, k)  # rows are in ascending key order
     return RankedList(zip([index.keys[i] for i in rows.tolist()], scores[rows].tolist()))

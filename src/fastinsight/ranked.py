@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Tuple
 
+import numpy as np
+
 
 class RankedList:
     """Immutable ordered sequence of (node-key, score) pairs.
@@ -75,3 +77,17 @@ class RankedList:
         head = ", ".join(f"{k}:{s:.4g}" for k, s in self._items[:5])
         tail = ", ..." if len(self._items) > 5 else ""
         return f"RankedList([{head}{tail}], n={len(self._items)})"
+
+
+def top_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """Rows of the best ``k`` scores, ordered by (score descending, row
+    ascending): the order of :meth:`RankedList.from_scores` when rows are in
+    ascending key order. Returns every row, ranked, when k exceeds their
+    number, and none when k < 1."""
+    n = len(scores)
+    k = min(k, n)
+    if k < 1:
+        return np.zeros(0, dtype=np.intp)
+    # Every row that ties the k-th best score, then the exact order.
+    rows = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+    return rows[np.lexsort((rows, -scores[rows]))][:k]

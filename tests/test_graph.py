@@ -1,9 +1,17 @@
+import gc
 import gzip
+import io
 import json
 import random
+import tempfile
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastinsight import (
     CorpusGraph,
@@ -66,6 +74,23 @@ class TestLoad:
         g = load_graph(nz, ez)
         assert g.n_edges == 1
 
+    def test_gzip_path_closes_files(self, tmp_path):
+        np_, ep = tmp_path / "n.jsonl.gz", tmp_path / "e.tsv.gz"
+        np_.write_bytes(gzip.compress(_nodes_bytes(["a", "b"])))
+        ep.write_bytes(gzip.compress(_edges_bytes([("a", "b")])))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g = load_graph(str(np_), str(ep))
+            gc.collect()
+        assert g.n_edges == 1
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_caller_stream_left_open(self):
+        nodes = io.BytesIO(gzip.compress(_nodes_bytes(["a", "b"])))
+        edges = io.BytesIO(_edges_bytes([("a", "b")]))
+        assert load_graph(nodes, edges).n_edges == 1
+        assert not nodes.closed and not edges.closed
+
     def test_roundtrip(self, tmp_path):
         # Direction survives on disk only: save -> load -> save writes the
         # same edges file, listing exactly the input's distinct directed edges.
@@ -87,6 +112,54 @@ class TestLoad:
     def test_empty_key_rejected(self):
         with pytest.raises(GraphValidationError):
             CorpusGraph({"": "x"}, [])
+
+
+@st.composite
+def _edge_case(draw):
+    """Keys whose sorted order differs from their listing order, and edges
+    with one- and two-way pairs, duplicates, self-loops and isolated nodes."""
+    keys = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3),
+                         min_size=1, max_size=12, unique=True))
+    pick = st.sampled_from(keys)
+    edges = []
+    for a, b, both_ways, copies in draw(st.lists(
+            st.tuples(pick, pick, st.booleans(), st.integers(1, 2)), max_size=30)):
+        edges += ([(a, b), (b, a)] if both_ways else [(a, b)]) * copies
+    return keys, edges
+
+
+class TestCSR:
+    @settings(max_examples=200, deadline=None)
+    @given(_edge_case())
+    def test_csr_agrees_with_key_api(self, case):
+        keys, edges = case
+        g = make_graph(keys, edges)
+        ids = g.node_keys
+        assert ids == tuple(sorted(keys))
+        assert len(g.indptr) == len(ids) + 1 and g.indptr[-1] == len(g.indices)
+        for i, k in enumerate(ids):
+            row = g.indices[g.indptr[i]:g.indptr[i + 1]]
+            assert tuple(ids[j] for j in row) == g.neighbors(k)
+            assert g.degree(k) == g.indptr[i + 1] - g.indptr[i]
+            joined = {b for a, b in edges if a == k} | {a for a, b in edges if b == k}
+            assert g.neighbors(k) == tuple(sorted(joined - {k}))
+        distinct = sorted({(a, b) for a, b in edges if a != b})
+        assert g.n_edges == len(distinct)
+        assert g.self_loops_dropped == sum(a == b for a, b in edges)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            save_graph(g, str(d / "n.jsonl"), str(d / "e.tsv"))
+            g2 = load_graph(str(d / "n.jsonl"), str(d / "e.tsv"))
+            save_graph(g2, str(d / "n2.jsonl"), str(d / "e2.tsv"))
+            written = (d / "e.tsv").read_bytes()
+            assert (d / "e2.tsv").read_bytes() == written
+        assert sorted(tuple(line.split("\t")) for line in written.decode().splitlines()) == distinct
+        assert np.array_equal(g2.indptr, g.indptr) and np.array_equal(g2.indices, g.indices)
+
+    def test_arrays_read_only(self, path_graph):
+        with pytest.raises(ValueError):
+            path_graph.indices[0] = 0
 
 
 class TestTopology:
@@ -154,7 +227,89 @@ def _ppr_power_oracle(g, seeds, restart, steps=10_000):
     return {k: p[idx[k]] for k in keys}
 
 
+def _dense_ppr_reference(g, seeds, restart=0.15, tol=1e-8, max_iter=1000):
+    """The dense algorithm ppr_scores replaced: an n x n column-stochastic
+    matrix, the same iteration, stopping rule and dangling rule."""
+    keys = g.node_keys
+    index = {key: i for i, key in enumerate(keys)}
+    n = len(keys)
+    p0 = np.zeros(n)
+    for key, score in seeds:
+        p0[index[key]] += score
+    p0 /= p0.sum()
+    m = np.zeros((n, n))
+    dangling = np.zeros(n, dtype=bool)
+    for j, key in enumerate(keys):
+        nbrs = g.neighbors(key)
+        if not nbrs:
+            dangling[j] = True
+            continue
+        w = 1.0 / len(nbrs)
+        for nb in nbrs:
+            m[index[nb], j] = w
+    p = p0.copy()
+    for _ in range(max_iter):
+        loose = p[dangling].sum()
+        p_next = (1.0 - restart) * (m @ p + loose * p0) + restart * p0
+        residual = float(np.abs(p_next - p).sum())
+        p = p_next
+        if residual < tol:
+            break
+    else:
+        raise ConvergenceError(residual, max_iter)
+    return {key: float(p[i]) for i, key in enumerate(keys)}
+
+
+@st.composite
+def _ppr_case(draw):
+    keys, edges = draw(_edge_case())
+    seed_keys = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=len(keys), unique=True))
+    scores = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=len(seed_keys),
+                           max_size=len(seed_keys)))
+    return make_graph(keys, edges), RankedList(zip(seed_keys, scores))
+
+
 class TestPageRank:
+    @settings(max_examples=300, deadline=None)
+    @given(_ppr_case())
+    def test_sparse_matches_dense_reference(self, case):
+        # Sparse and dense M p sum in different orders, so scores may differ
+        # in the last bits either way: the dense sum can split nodes that
+        # symmetry makes equal, the sparse one can split bit-equal ones. So
+        # the ranking must follow the reference scores wherever they differ
+        # by more than the score tolerance.
+        g, seeds = case
+        want = _dense_ppr_reference(g, seeds)
+        got = ppr_scores(g, seeds)
+        assert list(got) == list(g.node_keys)
+        for k in g.node_keys:
+            assert got[k] == pytest.approx(want[k], rel=0, abs=1e-12)
+        ranked_keys = personalized_pagerank(g, seeds, k=g.n_nodes).keys()
+        assert sorted(ranked_keys) == sorted(k for k in g.node_keys if k not in seeds)
+        ref = [want[k] for k in ranked_keys]
+        for i, s in enumerate(ref):
+            assert all(s >= later - 1e-12 for later in ref[i + 1:])
+
+    def test_top_k_ties_break_by_key(self):
+        g = make_graph(["hub", "s3", "s1", "s2"], [("hub", "s1"), ("hub", "s2"), ("hub", "s3")])
+        assert personalized_pagerank(g, ranked("hub"), k=2).keys() == ("s1", "s2")
+        assert personalized_pagerank(g, ranked("hub"), k=0).keys() == ()
+
+    def test_memory_linear_in_graph_size(self):
+        # A dense transition matrix at 2,000 nodes alone would take 32 MB.
+        n = 2000
+        keys = [f"r{i:04d}" for i in range(n)]
+        g = make_graph(keys, [(keys[i], keys[(i + 1) % n]) for i in range(n)])
+        seeds = ranked(keys[0], keys[n // 2])
+        tracemalloc.start()
+        try:
+            ppr_scores(g, seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
     def test_single_node_fixed_point(self):
         g = make_graph(["a"], [])
         scores = ppr_scores(g, ranked("a"), restart=0.3)
