@@ -14,7 +14,7 @@ import requests
 
 from .errors import CacheInvalidError, DimensionMismatchError, EncoderError, UnknownNodeError
 from .graph import CorpusGraph
-from .ranked import RankedList, top_rows
+from .ranked import RankedList, key_rows, top_rows
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -139,6 +139,10 @@ class EmbeddingIndex:
             return self._rows[key]
         except KeyError:
             raise UnknownNodeError(key) from None
+
+    def rows(self, keys: Sequence[str]) -> np.ndarray:
+        """The :meth:`row` of each key, in order."""
+        return key_rows(self._rows, keys)
 
     def vector(self, key: str) -> np.ndarray:
         return self.matrix[self.row(key)]

@@ -9,6 +9,7 @@ PageRank). :data:`METHODS` maps each method's name to its function.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -38,8 +39,8 @@ class FastInsightConfig:
             raise ValueError(f"batch must satisfy 1 <= batch <= budget, got {self.batch}/{self.budget}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
+        if not (self.beta >= 0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be finite and non-negative, got {self.beta}")
         if self.k_report < 1:
             raise ValueError(f"k_report must be >= 1, got {self.k_report}")
 
@@ -106,11 +107,12 @@ def fastinsight_retrieve(
         if len(ret) >= cfg.budget:
             break
         with trace.stage("expand"):
-            additions = stex(trace.query_vector, index, g, ret, cfg.beta)
+            additions = stex(trace.query_vector, index, g, ret, cfg.beta,
+                             k=min(cfg.batch, cfg.budget - len(ret)))
         trace.stex_calls += 1
         if len(additions) == 0:
             break
-        ret = ret.extend(additions.items()[:min(cfg.batch, cfg.budget - len(ret))])
+        ret = ret.extend(additions.items())
     return ret, trace
 
 

@@ -8,13 +8,14 @@ retrieved nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .embedding import EmbeddingIndex
-from .graph import CorpusGraph, frontier
+from .graph import CorpusGraph, Frontier, frontier
 from .ranked import RankedList
 
 
@@ -26,6 +27,34 @@ class StexScore:
     i_struct: float
     i_sim: float
     total: float
+
+
+def _score(
+    v_q: np.ndarray,
+    index: EmbeddingIndex,
+    g: CorpusGraph,
+    ret: RankedList,
+    beta: float,
+) -> Tuple[Frontier, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The frontier of ``ret`` with each candidate's i_struct, i_sim and
+    total, plus the positions that order them by (total desc, key asc)."""
+    if len(ret) == 0:
+        raise ValueError("ranked list is empty")
+    if not (beta >= 0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be finite and non-negative, got {beta}")
+    cand = frontier(g, ret)
+    r_max = len(ret)
+    if r_max > 1:
+        i_struct = 1.0 - (cand.best_rank - 1) / (r_max - 1)
+    else:
+        i_struct = np.zeros(len(cand))
+    # C_max = 1 forces |A(n)| = 1, so its bridging term is 0 / 1 = 0.
+    c_max = np.minimum(g.degrees[cand.ids], r_max)
+    i_struct += (cand.adjacent - 1) / np.maximum(c_max - 1, 1)
+    i_sim = index.matrix[index.rows(cand)] @ v_q
+    total = i_sim + beta * i_struct
+    # Candidates ascend by key, so a stable sort breaks ties by key.
+    return cand, i_struct, i_sim, total, (-total).argsort(kind="stable")
 
 
 def stex_scores(
@@ -45,36 +74,12 @@ def stex_scores(
         C_max = min(deg(n), |ret|) > 1; A(n) holds at most deg(n) and at
         most |ret| nodes, so the term is at most 1;
       - i_sim = v_q . v_n (raw dot product, no rescaling);
-      - total = i_sim + beta * i_struct.
+      - total = i_sim + beta * i_struct, with beta finite and non-negative.
     """
-    if len(ret) == 0:
-        raise ValueError("ranked list is empty")
-    if beta < 0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
-    candidates = frontier(g, ret)
-    if not candidates:
-        return []
-
-    v_q = np.asarray(v_q, dtype=np.float64)
-    r_max = len(ret)
-    retrieved = set(ret.keys())
-    scored: List[StexScore] = []
-    for key in candidates:
-        nbrs = g.neighbors(key)
-        adjacent = [v for v in nbrs if v in retrieved]
-        i_struct = 0.0
-        if r_max > 1:
-            r_best = min(ret.rank(v) for v in adjacent)
-            i_struct += 1.0 - (r_best - 1) / (r_max - 1)
-        c_max = min(len(nbrs), r_max)
-        if c_max > 1:
-            i_struct += (len(adjacent) - 1) / (c_max - 1)
-        i_sim = float(v_q @ index.vector(key))
-        scored.append(StexScore(key=key, i_struct=i_struct, i_sim=i_sim,
-                                total=i_sim + beta * i_struct))
-
-    scored.sort(key=lambda s: (-s.total, s.key))
-    return scored
+    cand, i_struct, i_sim, total, order = _score(v_q, index, g, ret, beta)
+    keys = [cand[i] for i in order.tolist()]
+    return [StexScore(*row) for row in zip(
+        keys, i_struct[order].tolist(), i_sim[order].tolist(), total[order].tolist())]
 
 
 def stex(
@@ -83,6 +88,11 @@ def stex(
     g: CorpusGraph,
     ret: RankedList,
     beta: float,
+    k: Optional[int] = None,
 ) -> RankedList:
-    """Rank the one-hop frontier of ``ret``; empty frontier yields an empty list."""
-    return RankedList((s.key, s.total) for s in stex_scores(v_q, index, g, ret, beta))
+    """Rank the one-hop frontier of ``ret`` by the totals of
+    :func:`stex_scores`, optionally truncated to the best ``k``; an empty
+    frontier yields an empty list."""
+    cand, _, _, total, order = _score(v_q, index, g, ret, beta)
+    order = order[:k]
+    return RankedList(zip([cand[i] for i in order.tolist()], total[order].tolist()))

@@ -16,7 +16,7 @@ import json
 import logging
 from array import array
 from contextlib import ExitStack, contextmanager
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     GraphValidationError,
     UnknownNodeError,
 )
-from .ranked import RankedList, top_rows
+from .ranked import RankedList, key_rows, top_rows
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +48,7 @@ class CorpusGraph:
     """
 
     __slots__ = ("_content", "_keys", "_index", "_und", "_indptr", "_indices",
-                 "_directed", "self_loops_dropped")
+                 "_degrees", "_directed", "self_loops_dropped")
 
     def __init__(
         self,
@@ -85,9 +85,10 @@ class CorpusGraph:
         directed = _sorted_unique(np.asarray(codes, dtype=np.int64))
         src_ids, dst_ids = np.divmod(directed, n)
         rows, cols = np.divmod(_sorted_unique(np.concatenate([directed, dst_ids * n + src_ids])), n)
+        degrees = np.bincount(rows, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        indptr.flags.writeable = cols.flags.writeable = False
+        np.cumsum(degrees, out=indptr[1:])
+        indptr.flags.writeable = cols.flags.writeable = degrees.flags.writeable = False
 
         flat = np.array(keys, dtype=object)[cols].tolist()
         bounds = indptr.tolist()
@@ -97,6 +98,7 @@ class CorpusGraph:
         self._index = index
         self._indptr = indptr
         self._indices = cols
+        self._degrees = degrees
         self._directed = directed
         self.self_loops_dropped = self_loops_dropped
 
@@ -123,6 +125,11 @@ class CorpusGraph:
         """CSR neighbor ids (read-only), ascending within each row."""
         return self._indices
 
+    @property
+    def degrees(self) -> np.ndarray:
+        """Neighbor count of every node id (read-only), ``np.diff(indptr)``."""
+        return self._degrees
+
     def __contains__(self, key: object) -> bool:
         return key in self._content
 
@@ -141,6 +148,10 @@ class CorpusGraph:
 
     def degree(self, key: str) -> int:
         return len(self.neighbors(key))
+
+    def ids(self, keys: Sequence[str]) -> np.ndarray:
+        """Node id of each key, in order."""
+        return key_rows(self._index, keys)
 
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
@@ -229,16 +240,45 @@ def save_graph(g: CorpusGraph, nodes_path: str, edges_path: str) -> None:
             fh.write(f"{keys[src]}\t{keys[dst]}\n")
 
 
-def frontier(g: CorpusGraph, ret: RankedList) -> List[str]:
+class Frontier(list):
+    """Frontier keys, ascending, with one entry per key in each array:
+    ``ids`` (node ids, ascending), ``adjacent`` (|A(n)|, how many retrieved
+    nodes neighbor the candidate) and ``best_rank`` (the best, lowest, rank
+    among those retrieved neighbors)."""
+
+    __slots__ = ("ids", "adjacent", "best_rank")
+
+
+def frontier(g: CorpusGraph, ret: RankedList) -> Frontier:
     """One-hop neighborhood of the retrieved set, minus the set itself.
 
-    Returned ascending by key for deterministic iteration.
+    One pass over the CSR: the retrieved nodes' neighbor slices are gathered
+    in rank order, entries pointing back into the set are dropped, and the
+    rest are counted per candidate. Returned ascending by key.
     """
-    retrieved = set(ret.keys())
-    out: set = set()
-    for key in retrieved:
-        out.update(g.neighbors(key))
-    return sorted(out - retrieved)
+    own = g.ids(ret.keys())
+    starts = g.indptr[own]
+    sizes = g.degrees[own]
+    # Gathered entry e belongs to the slice s with offsets[s] <= e <
+    # offsets[s] + sizes[s], sits at indices[starts[s] + e - offsets[s]], and
+    # its owner has rank s + 1, the number of offsets <= e.
+    offsets = sizes.cumsum() - sizes
+    pos = np.repeat(starts - offsets, sizes)
+    pos += np.arange(len(pos))
+    nbr = g.indices[pos]
+    outside = np.ones(g.n_nodes, dtype=bool)
+    outside[own] = False
+    at = outside[nbr].nonzero()[0]
+    nbr = nbr[at]
+
+    adjacent = np.bincount(nbr)
+    ids = (adjacent != 0).nonzero()[0]
+    best = np.empty(len(adjacent), dtype=np.intp)
+    best.fill(len(own) + 1)  # above every rank; stays only off the frontier
+    np.minimum.at(best, nbr, offsets.searchsorted(at, side="right"))
+    out = Frontier(map(g.node_keys.__getitem__, ids.tolist()))
+    out.ids, out.adjacent, out.best_rank = ids, adjacent[ids], best[ids]
+    return out
 
 
 def _ppr_vector(
@@ -269,7 +309,7 @@ def _ppr_vector(
 
     # M p as a sparse mat-vec over the CSR: (M p)_i = sum over neighbors j of
     # p_j / deg_j. Dangling columns (degree 0) are tracked separately.
-    deg = np.diff(g.indptr)
+    deg = g.degrees
     dangling = deg == 0
     inv_deg = np.divide(1.0, deg, out=np.zeros(n), where=~dangling)
     rows = np.repeat(np.arange(n), deg)
@@ -322,7 +362,7 @@ def personalized_pagerank(
     score, ties broken by ascending key."""
     p = _ppr_vector(g, seeds, restart, tol, max_iter)
     keep = np.ones(len(p), dtype=bool)
-    keep[[g._index[key] for key in seeds.keys()]] = False
+    keep[g.ids(seeds.keys())] = False
     ids = np.flatnonzero(keep)
     ids = ids[top_rows(p[ids], k)]
     keys = g.node_keys

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
+
+from .errors import UnknownNodeError
 
 
 class RankedList:
@@ -13,7 +15,7 @@ class RankedList:
     Ranks are 1-based: the first entry has rank 1. Keys must be unique.
     """
 
-    __slots__ = ("_items", "_rank")
+    __slots__ = ("_items", "_keys", "_rank")
 
     def __init__(self, items: Iterable[Tuple[str, float]]):
         pairs = tuple((str(k), float(s)) for k, s in items)
@@ -23,6 +25,7 @@ class RankedList:
                 raise ValueError(f"duplicate key in ranked list: {key!r}")
             rank[key] = i + 1
         self._items = pairs
+        self._keys = tuple(rank)
         self._rank = rank
 
     @staticmethod
@@ -34,7 +37,7 @@ class RankedList:
         return RankedList(ordered)
 
     def keys(self) -> Tuple[str, ...]:
-        return tuple(k for k, _ in self._items)
+        return self._keys
 
     def items(self) -> Tuple[Tuple[str, float], ...]:
         return self._items
@@ -44,10 +47,6 @@ class RankedList:
 
     def score(self, key: str) -> float:
         return self._items[self._rank[key] - 1][1]
-
-    def top(self, k: int) -> "RankedList":
-        """Prefix of the first k entries (no re-sorting)."""
-        return RankedList(self._items[:k])
 
     def extend(self, items: Iterable[Tuple[str, float]]) -> "RankedList":
         """New list with items appended at the tail, preserving order."""
@@ -77,6 +76,15 @@ class RankedList:
         head = ", ".join(f"{k}:{s:.4g}" for k, s in self._items[:5])
         tail = ", ..." if len(self._items) > 5 else ""
         return f"RankedList([{head}{tail}], n={len(self._items)})"
+
+
+def key_rows(row_of: Mapping[str, int], keys: Sequence[str]) -> np.ndarray:
+    """``row_of[key]`` of each key, in order, as an index array. A key that
+    ``row_of`` lacks raises :class:`UnknownNodeError`."""
+    try:
+        return np.fromiter(map(row_of.__getitem__, keys), dtype=np.intp, count=len(keys))
+    except KeyError as exc:
+        raise UnknownNodeError(exc.args[0]) from None
 
 
 def top_rows(scores: np.ndarray, k: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import requests
 from .embedding import hash_embed
 from .errors import RerankerError
 from .graph import CorpusGraph
-from .ranked import RankedList
+from .ranked import RankedList, key_rows
 
 # A latent batch is a |ret| x d_h float matrix, rows aligned with the ranked
 # list the latents were extracted for.
@@ -165,10 +165,6 @@ class PropagationMatrix:
     isolated_rows: FrozenSet[int]
 
 
-def _rows(row_of: Dict[str, int], keys: Sequence[str]) -> np.ndarray:
-    return np.fromiter((row_of[k] for k in keys), dtype=np.intp, count=len(keys))
-
-
 class GRankerState:
     """Work :func:`granker` has already done for one query, reused by its
     later calls.
@@ -196,7 +192,7 @@ class GRankerState:
             self._latents = rows if self._latents is None else np.concatenate([self._latents, rows])
             for k in new:
                 self._latent_row[k] = len(self._latent_row)
-        return self._latents[_rows(self._latent_row, keys)]
+        return self._latents[key_rows(self._latent_row, keys)]
 
     def induced(self, keys: Sequence[str], g: CorpusGraph) -> Tuple[np.ndarray, np.ndarray]:
         """Induced adjacency of ``keys`` and their full-graph degrees (zero
@@ -218,7 +214,7 @@ class GRankerState:
                         a[i, j] = a[j, i] = 1.0
             self._adjacency = a
             self._degrees = np.concatenate([self._degrees, np.asarray(deg, dtype=np.float64)])
-        idx = _rows(self._node_row, keys)
+        idx = key_rows(self._node_row, keys)
         return self._adjacency[np.ix_(idx, idx)], self._degrees[idx]
 
 

@@ -165,6 +165,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             FastInsightConfig(k_report=0)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, beta):
+        # nan makes every STeX total nan, and inf * 0 is nan for a candidate
+        # without structural score: neither orders the frontier.
+        with pytest.raises(ValueError, match="finite"):
+            FastInsightConfig(beta=beta)
+
 
 class TestBaselines:
     def test_vs_delegates_to_vector_search(self, rich):

@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fastinsight import EmbeddingIndex, frontier, stex, stex_scores
+from fastinsight import EmbeddingIndex, RankedList, frontier, stex, stex_scores
 
 from conftest import make_graph, random_graph, ranked
 
@@ -134,7 +136,6 @@ class TestProperties:
 class TestErrors:
     def test_empty_ret_rejected(self):
         g = make_graph(["a"], [])
-        from fastinsight import RankedList
         with pytest.raises(ValueError):
             stex(np.array([1.0]), _index_from({"a": [0.0]}), g, RankedList([]), beta=1.0)
 
@@ -143,8 +144,92 @@ class TestErrors:
         with pytest.raises(ValueError):
             stex(np.array([1.0]), _index_from({"b": [0.0]}), g, ranked("a"), beta=-0.5)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, beta):
+        g, index, ret, v_q = _hand_fixture()
+        with pytest.raises(ValueError, match="finite"):
+            stex(v_q, index, g, ret, beta=beta)
+        with pytest.raises(ValueError, match="finite"):
+            stex_scores(v_q, index, g, ret, beta=beta)
+
     def test_empty_frontier_gives_empty_list(self):
         g = make_graph(["a", "b"], [("a", "b")])
         out = stex(np.array([1.0]), _index_from({"a": [0], "b": [0]}), g,
                    ranked("a", "b"), beta=1.0)
         assert len(out) == 0
+
+
+def _reference_scores(v_q, index, g, ret, beta):
+    """The per-candidate loop STeX ran before it became one pass over the
+    CSR: a set walk for the frontier, then for every candidate a walk over
+    its neighbors, one rank lookup each and one dot product. Returns
+    (key, i_struct, i_sim, total) in (total desc, key asc) order."""
+    retrieved = set(ret.keys())
+    candidates = set()
+    for key in retrieved:
+        candidates.update(g.neighbors(key))
+    v_q = np.asarray(v_q, dtype=np.float64)
+    r_max = len(ret)
+    scored = []
+    for key in sorted(candidates - retrieved):
+        nbrs = g.neighbors(key)
+        adjacent = [v for v in nbrs if v in retrieved]
+        i_struct = 0.0
+        if r_max > 1:
+            r_best = min(ret.rank(v) for v in adjacent)
+            i_struct += 1.0 - (r_best - 1) / (r_max - 1)
+        c_max = min(len(nbrs), r_max)
+        if c_max > 1:
+            i_struct += (len(adjacent) - 1) / (c_max - 1)
+        i_sim = float(v_q @ index.vector(key))
+        scored.append((key, i_struct, i_sim, i_sim + beta * i_struct))
+    scored.sort(key=lambda s: (-s[3], s[0]))
+    return scored
+
+
+@st.composite
+def _stex_case(draw):
+    """Isolated nodes, one- and two-way edges, ``ret`` in a random order, an
+    index over every non-retrieved key plus some retrieved ones (so index
+    rows and node ids differ), and vectors whose dot products often tie."""
+    n = draw(st.integers(2, 12))
+    keys = [f"n{i:02d}" for i in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans())
+    edges = []
+    for i, j, both_ways in draw(st.lists(pairs, max_size=3 * n)):
+        edges += [(keys[i], keys[j]), (keys[j], keys[i])] if both_ways else [(keys[i], keys[j])]
+    order = draw(st.permutations(keys))
+    ret = order[:draw(st.integers(1, n))]
+    indexed = sorted(set(keys) - set(ret)) + [k for k in ret if draw(st.booleans())]
+    entry = st.one_of(st.sampled_from([-0.5, 0.0, 0.25, 0.5]), st.floats(-1.0, 1.0))
+    # The index needs one vector to fix its dimension, even when no key is indexed.
+    vectors = {k: draw(st.lists(entry, min_size=3, max_size=3)) for k in indexed or keys[:1]}
+    v_q = np.array(draw(st.lists(entry, min_size=3, max_size=3)))
+    return make_graph(keys, edges), _index_from(vectors), ranked(*ret), v_q, draw(st.floats(0.0, 3.0))
+
+
+class TestOnePassMatchesLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(_stex_case())
+    def test_matches_reference_loop(self, case):
+        g, index, ret, v_q, beta = case
+        want = _reference_scores(v_q, index, g, ret, beta)
+        got = stex_scores(v_q, index, g, ret, beta)
+        assert frontier(g, ret) == sorted(s.key for s in got) == sorted(w[0] for w in want)
+        ref = {w[0]: w for w in want}
+        for s in got:
+            assert s.i_struct == ref[s.key][1]  # same float operations: bit-equal
+            assert abs(s.i_sim - ref[s.key][2]) <= 1e-12  # mat-vec vs per-row dot
+            assert s.total == s.i_sim + beta * s.i_struct
+        # The order may differ only between candidates whose reference totals
+        # lie within 1e-12 of each other.
+        position = {s.key: i for i, s in enumerate(got)}
+        for i, a in enumerate(want):
+            for b in want[i + 1:]:
+                if a[3] - b[3] > 1e-12:
+                    assert position[a[0]] < position[b[0]]
+
+        full = stex(v_q, index, g, ret, beta)
+        assert full.items() == tuple((s.key, s.total) for s in got)
+        for j in range(len(full) + 2):
+            assert stex(v_q, index, g, ret, beta, k=j).items() == full.items()[:j]

@@ -136,11 +136,12 @@ class TestCSR:
         g = make_graph(keys, edges)
         ids = g.node_keys
         assert ids == tuple(sorted(keys))
+        assert g.ids(keys).tolist() == [ids.index(k) for k in keys]
         assert len(g.indptr) == len(ids) + 1 and g.indptr[-1] == len(g.indices)
         for i, k in enumerate(ids):
             row = g.indices[g.indptr[i]:g.indptr[i + 1]]
             assert tuple(ids[j] for j in row) == g.neighbors(k)
-            assert g.degree(k) == g.indptr[i + 1] - g.indptr[i]
+            assert g.degree(k) == g.indptr[i + 1] - g.indptr[i] == g.degrees[i]
             joined = {b for a, b in edges if a == k} | {a for a, b in edges if b == k}
             assert g.neighbors(k) == tuple(sorted(joined - {k}))
         distinct = sorted({(a, b) for a, b in edges if a != b})
@@ -160,6 +161,8 @@ class TestCSR:
     def test_arrays_read_only(self, path_graph):
         with pytest.raises(ValueError):
             path_graph.indices[0] = 0
+        with pytest.raises(ValueError):
+            path_graph.degrees[0] = 0
 
 
 class TestTopology:
@@ -191,6 +194,10 @@ class TestTopology:
 
     def test_frontier_whole_graph_empty(self, path_graph):
         assert frontier(path_graph, ranked("a", "b", "c")) == []
+
+    def test_frontier_unknown_key(self, path_graph):
+        with pytest.raises(UnknownNodeError):
+            frontier(path_graph, ranked("a", "zz"))
 
     def test_frontier_disjoint_from_ret_property(self):
         rng = random.Random(5)

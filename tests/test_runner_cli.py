@@ -257,6 +257,16 @@ class TestCli:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error:"), proc.stderr
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta_fails_before_any_work(self, dataset, tmp_path, beta):
+        out = tmp_path / "o"
+        proc = _run_cli(["run", "--nodes", dataset.nodes, "--edges", dataset.edges,
+                         "--queries", dataset.queries, "--qrels", dataset.qrels,
+                         "--beta", beta, "--out", str(out)], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error:") and "finite" in proc.stderr, proc.stderr
+        assert not out.exists()
+
     def test_re2_pool_below_k_fails_before_any_work(self, dataset, tmp_path):
         out = tmp_path / "o"
         proc = _run_cli(["run", "--nodes", dataset.nodes, "--edges", dataset.edges,
