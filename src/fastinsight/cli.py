@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .runner import METHODS, RunConfig, RunError, run_eval, run_sweep
+from .errors import FastInsightError
+from .runner import METHODS, RunConfig, run_eval, run_sweep
 from .synth import synth_bridge
 
 
@@ -73,7 +74,7 @@ def main(argv=None) -> int:
                 f"r10={mets['r10']:.4f} ndcg10={mets['ndcg10']:.4f} tr={mets['tr']:.4f} "
                 f"qpt_ms={report['timing']['qpt_ms_mean']:.2f}"
             )
-    except (RunError, OSError, ValueError) as exc:
+    except (FastInsightError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

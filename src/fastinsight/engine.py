@@ -47,8 +47,8 @@ class FastInsightConfig:
 
 @dataclass
 class RetrievalTrace:
-    """Per-run bookkeeping: the query vector, snapshots per iteration, call
-    counts and stage timings."""
+    """Per-run bookkeeping: the query vector and its top-``k_report`` search
+    hits (``vs_top``), snapshots per iteration, call counts and stage timings."""
 
     snapshots: List[List[str]] = field(default_factory=list)
     vs_calls: int = 0
@@ -56,6 +56,7 @@ class RetrievalTrace:
     stex_calls: int = 0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     query_vector: Optional[np.ndarray] = None
+    vs_top: Optional[RankedList] = None
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
@@ -67,13 +68,22 @@ class RetrievalTrace:
             self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + time.perf_counter() - t0
 
 
-def _seed(q: str, index: EmbeddingIndex, emb: Embedder, k: int) -> Tuple[RankedList, RetrievalTrace]:
-    """Start a method's trace: embed ``q`` once and vector-search its top ``k``."""
+def _head(ret: RankedList, k: int) -> RankedList:
+    return ret if len(ret) <= k else RankedList(ret.items()[:k])
+
+
+def _seed(q: str, index: EmbeddingIndex, emb: Embedder, k: int,
+          k_report: int) -> Tuple[RankedList, RetrievalTrace]:
+    """Start a method's trace: embed ``q`` and vector-search it once; return
+    the top ``k`` and keep the top ``k_report`` as ``trace.vs_top``. Search
+    results are totally ordered, so both are prefixes of the one search."""
     trace = RetrievalTrace()
     with trace.stage("embed"):
         trace.query_vector = emb.encode_query(q)
     with trace.stage("vs"):
-        ret = vector_search(trace.query_vector, index, k)
+        top = vector_search(trace.query_vector, index, max(k, k_report))
+        trace.vs_top = _head(top, k_report)
+        ret = _head(top, k)
     trace.vs_calls += 1
     return ret, trace
 
@@ -96,7 +106,7 @@ def fastinsight_retrieve(
     """
     if g.n_nodes == 0:
         raise ValueError("graph is empty")
-    ret, trace = _seed(q, index, emb, cfg.batch)
+    ret, trace = _seed(q, index, emb, cfg.batch, cfg.k_report)
     state = GRankerState()
 
     while True:
@@ -119,7 +129,7 @@ def fastinsight_retrieve(
 def baseline_vs(q: str, g: CorpusGraph, index: EmbeddingIndex, emb: Embedder,
                 rr: Reranker, cfg: FastInsightConfig) -> Tuple[RankedList, RetrievalTrace]:
     """Vector-search baseline: the exact top-``budget``."""
-    return _seed(q, index, emb, cfg.budget)
+    return _seed(q, index, emb, cfg.budget, cfg.k_report)
 
 
 def baseline_re2(q: str, g: CorpusGraph, index: EmbeddingIndex, emb: Embedder,
@@ -128,7 +138,7 @@ def baseline_re2(q: str, g: CorpusGraph, index: EmbeddingIndex, emb: Embedder,
     rerank it, keep the top ``k_report``."""
     if cfg.budget < cfg.k_report:
         raise ValueError(f"pool ({cfg.budget}) must be >= k ({cfg.k_report})")
-    pool, trace = _seed(q, index, emb, cfg.budget)
+    pool, trace = _seed(q, index, emb, cfg.budget, cfg.k_report)
     with trace.stage("rerank"):
         ret = rerank_pool(q, pool, g, rr, k=cfg.k_report)
     return ret, trace
@@ -138,7 +148,7 @@ def baseline_ppr(q: str, g: CorpusGraph, index: EmbeddingIndex, emb: Embedder,
                  rr: Reranker, cfg: FastInsightConfig) -> Tuple[RankedList, RetrievalTrace]:
     """Personalized-PageRank baseline: ``batch`` vector-search seeds, then the
     best-scored non-seed nodes up to ``budget``."""
-    seeds, trace = _seed(q, index, emb, cfg.batch)
+    seeds, trace = _seed(q, index, emb, cfg.batch, cfg.k_report)
     with trace.stage("expand"):
         expanded = personalized_pagerank(g, seeds, k=max(cfg.budget - len(seeds), 1))
     return seeds.extend(expanded.items()), trace

@@ -27,12 +27,19 @@ def _ret_keys(ret: RetLike) -> Tuple[str, ...]:
     return tuple(ret)
 
 
+class SettledCosts(dict):
+    """Seed path costs of the settled nodes, in settle order, plus the
+    u-value of each reached target (``resolved``)."""
+
+    __slots__ = ("resolved",)
+
+
 def seed_path_costs(
     g: CorpusGraph,
     ret_keys: Sequence[str],
     mode: PathMode = "cost",
     targets: Optional[Iterable[str]] = None,
-) -> Dict[str, float]:
+) -> SettledCosts:
     """Multi-source node-weighted shortest-path costs from the retrieved set.
 
     The cost of reaching node v is the sum of log(1 + degree) over every node
@@ -44,7 +51,8 @@ def seed_path_costs(
     ``targets`` the search stops as soon as each target has at least one
     settled neighbor, and only the nodes settled so far are returned.
     Either way the dict lists nodes in settle order, which is non-decreasing
-    in (hops, cost), and every cost in it is final.
+    in (hops, cost), and every cost in it is final. A target's first settled
+    neighbor is thus its cheapest in both modes; its cost is ``.resolved[t]``.
     """
     step = 1 if mode == "hops" else 0
     weight: Dict[str, float] = {}  # log(1 + degree) of each node touched
@@ -61,30 +69,33 @@ def seed_path_costs(
     heap = [(hops, cost, key) for key, (hops, cost) in best.items()]
     heapq.heapify(heap)
 
-    pending: Optional[Set[str]] = None
-    resolves: Dict[str, List[str]] = {}  # node -> targets it is a neighbor of
-    if targets is not None:
-        pending = set(targets)
-        for t in pending:
-            for nb in g.neighbors(t):
-                resolves.setdefault(nb, []).append(t)
+    pending = None if targets is None else set(targets)
+    for t in pending or ():
+        if t not in g:
+            raise UnknownNodeError(t)
 
+    # Plain dicts in the loop: subscripts on a dict subclass are slower.
     settled: Dict[str, float] = {}
+    resolved: Dict[str, float] = {}
     while heap and (pending is None or pending):
         hops, cost, node = heapq.heappop(heap)
         if node in settled:
             continue
         settled[node] = cost
-        if pending is not None:
-            pending.difference_update(resolves.get(node, ()))
         for nb in g.neighbors(node):
+            # Undirected: node neighbors nb. A settled target (a seed) resolves too.
+            if pending and nb in pending:
+                pending.remove(nb)
+                resolved[nb] = cost
             if nb in settled:
                 continue
             cand = (hops + step, cost + node_weight(nb))
             if nb not in best or cand < best[nb]:
                 best[nb] = cand
                 heapq.heappush(heap, cand + (nb,))
-    return settled
+    out = SettledCosts(settled)
+    out.resolved = resolved
+    return out
 
 
 def uncertainty(
@@ -105,31 +116,7 @@ def uncertainty(
         return 0.0
     if not ret_set:
         return math.inf
-    costs = _costs_to_predecessors(g, tuple(sorted(ret_set)), (target,), mode)
-    return costs.get(target, math.inf)
-
-
-def _costs_to_predecessors(
-    g: CorpusGraph,
-    ret_keys: Tuple[str, ...],
-    targets: Sequence[str],
-    mode: PathMode,
-) -> Dict[str, float]:
-    """u-values of ``targets``: the seed path cost of each one's cheapest
-    neighbor. Unreachable targets are left out.
-
-    Nodes settle in non-decreasing (hops, cost) order, so a target's first
-    neighbor in settle order is its cheapest one in both modes.
-    """
-    settled = seed_path_costs(g, ret_keys, mode=mode, targets=targets)
-    order = {key: i for i, key in enumerate(settled)}
-    out: Dict[str, float] = {}
-    for t in targets:
-        first = min((nb for nb in g.neighbors(t) if nb in order),
-                    key=order.__getitem__, default=None)
-        if first is not None:
-            out[t] = settled[first]
-    return out
+    return seed_path_costs(g, tuple(ret_set), mode, (target,)).resolved.get(target, math.inf)
 
 
 def recall_uncapped(ret: RetLike, oracle: Set[str]) -> float:
@@ -185,7 +172,7 @@ def tr_and_miss_tr(
         return 0.0, 0.0
     ret_set = set(ret_keys)
     missed = sorted(oracle - ret_set)
-    costs = _costs_to_predecessors(g, ret_keys, missed, mode)
+    costs = seed_path_costs(g, ret_keys, mode=mode, targets=missed).resolved
 
     def credit_sum(keys: List[str]) -> float:
         total = 0.0

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import engine
 from . import metrics as m
-from .embedding import HashEmbedder, RemoteEmbedder, build_index, vector_search
+from .embedding import HashEmbedder, RemoteEmbedder, build_index
 from .engine import FastInsightConfig
 from .errors import FastInsightError, GraphFormatError
 from .graph import load_graph
@@ -71,6 +71,8 @@ class RunConfig:
             raise ValueError("--remote-url is required with the remote encoder")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.embed_dim < 8:  # hash_embed's floor; HashReranker always hashes
+            raise ValueError(f"embed_dim must be >= 8, got {self.embed_dim}")
         if self.method == "re2" and self.budget < self.k:
             raise ValueError(f"re2 needs budget ({self.budget}) >= k ({self.k})")
         # FastInsightConfig re-validates batch/alpha/beta/budget relationships.
@@ -133,7 +135,6 @@ def run_eval(cfg: RunConfig) -> Dict:
         t_start = time.perf_counter()
         ret, trace = engine.METHODS[cfg.method](text, g, index, emb, rr, ficfg)
         with trace.stage("metrics"):
-            vs_top = vector_search(trace.query_vector, index, cfg.k)
             tr, miss_tr = m.tr_and_miss_tr(g, ret, gold)
             row = {
                 "query_id": qid,
@@ -142,9 +143,9 @@ def run_eval(cfg: RunConfig) -> Dict:
                 "recall_uncapped": m.recall_uncapped(ret, gold),
                 "tr": tr,
                 "miss_tr": miss_tr,
-                "r10_vs": m.capped_recall_at_k(vs_top, gold, cfg.k),
+                "r10_vs": m.capped_recall_at_k(trace.vs_top, gold, cfg.k),
                 "recall_at_budget": m.capped_recall_at_k(ret, gold, cfg.budget),
-                "delta_r": m.marginal_recall_gain(ret, vs_top, gold, cfg.budget, cfg.k),
+                "delta_r": m.marginal_recall_gain(ret, trace.vs_top, gold, cfg.budget, cfg.k),
             }
 
         row["_qpt_ms"] = (time.perf_counter() - t_start) * 1000.0

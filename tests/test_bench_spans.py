@@ -71,3 +71,22 @@ def test_package_feeds_every_benchmark_span():
     rec.spans.clear()
     engine.fastinsight_retrieve("word0 near1", g, index, emb, HashReranker(32), cfg)
     assert rec.spans == []
+
+
+def test_path_search_span_kept_when_all_gold_retrieved():
+    # On the bridge and ppr workloads every gold node is retrieved. The path
+    # search then runs with no targets and settles nothing, but its span,
+    # which feeds metrics.nodes_settled, must still be recorded.
+    spans = _load_spans()
+    g, _ = _fixture()
+    ret = RankedList((k, 0.0) for k in g.node_keys[:6])
+    gold = set(ret.keys()[::2])
+    rec, missing = spans.Recorder(), set()
+    patches = spans.Patches(missing).module(rec)
+    try:
+        assert metrics.topological_recall(g, ret, gold) == 1.0
+        assert metrics.miss_tr(g, ret, gold) == 0.0
+    finally:
+        patches.remove()
+    assert missing == set()
+    assert [s.count for s in rec.spans if s.name == "metrics.seed_path_costs"] == [0]

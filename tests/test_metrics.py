@@ -83,6 +83,52 @@ def _reference_costs_to_predecessors(g, ret_keys, mode):
     return out
 
 
+def _two_pass_seed_path_costs(g, ret_keys, mode="cost", targets=None):
+    """The search as it was before it resolved its targets itself: a pre-pass
+    maps each node to the targets it neighbors, and a target stops pending
+    when one of those nodes settles. The reference for the one-pass search."""
+    step = 1 if mode == "hops" else 0
+    best = {seed: (0, math.log1p(g.degree(seed))) for seed in set(ret_keys)}
+    heap = [(hops, cost, key) for key, (hops, cost) in best.items()]
+    heapq.heapify(heap)
+    pending = None
+    resolves = {}
+    if targets is not None:
+        pending = set(targets)
+        for t in pending:
+            for nb in g.neighbors(t):
+                resolves.setdefault(nb, []).append(t)
+    settled = {}
+    while heap and (pending is None or pending):
+        hops, cost, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled[node] = cost
+        if pending is not None:
+            pending.difference_update(resolves.get(node, ()))
+        for nb in g.neighbors(node):
+            if nb in settled:
+                continue
+            cand = (hops + step, cost + math.log1p(g.degree(nb)))
+            if nb not in best or cand < best[nb]:
+                best[nb] = cand
+                heapq.heappush(heap, cand + (nb,))
+    return settled
+
+
+def _two_pass_costs_to_predecessors(g, ret_keys, targets, mode):
+    """u-values the old way: rescan each target's neighbors for the first one
+    in settle order."""
+    settled = _two_pass_seed_path_costs(g, ret_keys, mode=mode, targets=targets)
+    order = {key: i for i, key in enumerate(settled)}
+    out = {}
+    for t in targets:
+        first = min((nb for nb in g.neighbors(t) if nb in order), key=order.__getitem__, default=None)
+        if first is not None:
+            out[t] = settled[first]
+    return out
+
+
 def _reference_uncertainty(g, ret_keys, target, mode):
     if target in ret_keys:
         return 0.0
@@ -168,6 +214,8 @@ class TestUncertainty:
     def test_unknown_target_rejected(self, path_graph):
         with pytest.raises(UnknownNodeError):
             uncertainty(path_graph, ["a"], "missing")
+        with pytest.raises(UnknownNodeError):
+            seed_path_costs(path_graph, ["a"], targets=["c", "missing"])
 
     def test_seed_degree_matters(self):
         # two routes to t: via hub (degree 4) or via leaf chain; cheaper one wins
@@ -315,6 +363,21 @@ class TestEarlyStop:
         assert list(near) == ["p000", "p001"]  # p001 resolves p002
         assert all(near[k] == full[k] for k in near)
         assert seed_path_costs(g, ["p000"], targets=["far"]) == full  # never resolved
+
+
+class TestOnePassSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(_metric_case(), st.sampled_from(["cost", "hops"]), st.data())
+    def test_matches_two_pass_reference(self, case, mode, data):
+        # Targets may be retrieved, the isolated "far", unreachable or
+        # repeated; None searches the whole component.
+        g, ret, _ = case
+        targets = data.draw(st.none() | st.lists(st.sampled_from(g.node_keys), max_size=8))
+        got = seed_path_costs(g, ret, mode=mode, targets=targets)
+        want = _two_pass_seed_path_costs(g, ret, mode=mode, targets=targets)
+        assert list(got.items()) == list(want.items())
+        assert got.resolved == ({} if targets is None
+                                else _two_pass_costs_to_predecessors(g, ret, targets, mode))
 
 
 _TR_SCRIPT = """

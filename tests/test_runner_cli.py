@@ -6,13 +6,14 @@ import time
 import pytest
 
 from fastinsight import (
+    FastInsightConfig,
     HashEmbedder,
+    HashReranker,
     build_index,
     capped_recall_at_k,
     engine,
     load_graph,
     load_qrels,
-    runner,
     synth_bridge,
     vector_search,
 )
@@ -149,7 +150,7 @@ class TestOneRetrievalPerQuery:
     @pytest.mark.parametrize("method", METHODS)
     def test_one_embedding_and_two_searches_per_query(self, dataset, tmp_path, monkeypatch, method):
         # Every call in order: the query text for an embedding, None for a
-        # vector search (the method's own, then r10_vs's).
+        # vector search. The method's one search also serves r10_vs.
         calls = []
         encode_query = HashEmbedder.encode_query
 
@@ -163,10 +164,26 @@ class TestOneRetrievalPerQuery:
 
         monkeypatch.setattr(HashEmbedder, "encode_query", counting_encode)
         monkeypatch.setattr(engine, "vector_search", counting_search)
-        monkeypatch.setattr(runner, "vector_search", counting_search)
         run_eval(_cfg(dataset, tmp_path, method=method))
         queries = load_queries(dataset.queries)
-        assert calls == [c for _, text in queries for c in (text, None, None)]
+        assert calls == [c for _, text in queries for c in (text, None)]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_vs_top_is_a_fresh_search(self, dataset, method):
+        # (batch, budget, k_report): batch < k_report; budget < k_report
+        # (not for re2, which rejects it); a budget beyond the index.
+        g = load_graph(dataset.nodes, dataset.edges)
+        emb = HashEmbedder(256)
+        index = build_index(g, emb)
+        queries = load_queries(dataset.queries)[:3]
+        for batch, budget, k_report in [(10, 40, 10), (3, 40, 10), (3, 6, 10), (2, 500, 5)]:
+            if method == "re2" and budget < k_report:
+                continue
+            cfg = FastInsightConfig(batch=batch, budget=budget, k_report=k_report)
+            for _, text in queries:
+                _, trace = engine.METHODS[method](text, g, index, emb, HashReranker(256), cfg)
+                assert trace.vs_calls == 1
+                assert trace.vs_top == vector_search(trace.query_vector, index, k_report)
 
     def test_timings_columns_are_the_stage_names(self, dataset, tmp_path):
         run_eval(_cfg(dataset, tmp_path))
@@ -256,6 +273,24 @@ class TestCli:
                          "--out", str(tmp_path / "o")], tmp_path)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error:"), proc.stderr
+
+    def test_malformed_edges_file_is_an_error_line(self, dataset, tmp_path):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("a\tb\tc\n")
+        proc = _run_cli(["run", "--nodes", dataset.nodes, "--edges", str(edges),
+                         "--queries", dataset.queries, "--qrels", dataset.qrels,
+                         "--out", str(tmp_path / "o")], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error:") and "edges file, line 1" in proc.stderr, proc.stderr
+
+    def test_embed_dim_below_hash_floor_fails_before_any_work(self, dataset, tmp_path):
+        out = tmp_path / "o"
+        proc = _run_cli(["run", "--nodes", dataset.nodes, "--edges", dataset.edges,
+                         "--queries", dataset.queries, "--qrels", dataset.qrels,
+                         "--embed-dim", "4", "--out", str(out)], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error:") and "embed_dim" in proc.stderr, proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("beta", ["nan", "inf"])
     def test_non_finite_beta_fails_before_any_work(self, dataset, tmp_path, beta):
