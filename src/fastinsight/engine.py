@@ -147,10 +147,13 @@ def baseline_re2(q: str, g: CorpusGraph, index: EmbeddingIndex, emb: Embedder,
 def baseline_ppr(q: str, g: CorpusGraph, index: EmbeddingIndex, emb: Embedder,
                  rr: Reranker, cfg: FastInsightConfig) -> Tuple[RankedList, RetrievalTrace]:
     """Personalized-PageRank baseline: ``batch`` vector-search seeds, then the
-    best-scored non-seed nodes up to ``budget``."""
+    best-scored non-seed nodes up to ``budget``. Seeds that fill the budget
+    are returned as they are, without a PageRank run."""
     seeds, trace = _seed(q, index, emb, cfg.batch, cfg.k_report)
+    if len(seeds) >= cfg.budget:
+        return seeds, trace
     with trace.stage("expand"):
-        expanded = personalized_pagerank(g, seeds, k=max(cfg.budget - len(seeds), 1))
+        expanded = personalized_pagerank(g, seeds, k=cfg.budget - len(seeds))
     return seeds.extend(expanded.items()), trace
 
 

@@ -249,6 +249,18 @@ class Frontier(list):
     __slots__ = ("ids", "adjacent", "best_rank")
 
 
+def _gather(g: CorpusGraph, own: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The CSR neighbor slices of node ids ``own``, concatenated in that
+    order, and for each entry the position in ``own`` of the node whose
+    slice holds it."""
+    sizes = g.degrees[own]
+    owner = np.repeat(np.arange(len(own)), sizes)
+    # Entry e of slice s sits at indices[indptr[own[s]] + e - offset of s].
+    pos = (g.indptr[own] - (sizes.cumsum() - sizes))[owner]
+    pos += np.arange(len(pos))
+    return g.indices[pos], owner
+
+
 def frontier(g: CorpusGraph, ret: RankedList) -> Frontier:
     """One-hop neighborhood of the retrieved set, minus the set itself.
 
@@ -257,15 +269,7 @@ def frontier(g: CorpusGraph, ret: RankedList) -> Frontier:
     rest are counted per candidate. Returned ascending by key.
     """
     own = g.ids(ret.keys())
-    starts = g.indptr[own]
-    sizes = g.degrees[own]
-    # Gathered entry e belongs to the slice s with offsets[s] <= e <
-    # offsets[s] + sizes[s], sits at indices[starts[s] + e - offsets[s]], and
-    # its owner has rank s + 1, the number of offsets <= e.
-    offsets = sizes.cumsum() - sizes
-    pos = np.repeat(starts - offsets, sizes)
-    pos += np.arange(len(pos))
-    nbr = g.indices[pos]
+    nbr, owner = _gather(g, own)
     outside = np.ones(g.n_nodes, dtype=bool)
     outside[own] = False
     at = outside[nbr].nonzero()[0]
@@ -275,10 +279,25 @@ def frontier(g: CorpusGraph, ret: RankedList) -> Frontier:
     ids = (adjacent != 0).nonzero()[0]
     best = np.empty(len(adjacent), dtype=np.intp)
     best.fill(len(own) + 1)  # above every rank; stays only off the frontier
-    np.minimum.at(best, nbr, offsets.searchsorted(at, side="right"))
+    np.minimum.at(best, nbr, owner[at] + 1)
     out = Frontier(map(g.node_keys.__getitem__, ids.tolist()))
     out.ids, out.adjacent, out.best_rank = ids, adjacent[ids], best[ids]
     return out
+
+
+def induced(g: CorpusGraph, keys: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """0/1 adjacency of the subgraph induced by the distinct ``keys``, rows
+    and columns in the order of ``keys``, and each key's full-graph degree
+    with zero replaced by 1, as float64. One gather over the CSR."""
+    own = g.ids(keys)
+    nbr, owner = _gather(g, own)
+    col = np.full(g.n_nodes, -1)
+    col[own] = np.arange(len(own))
+    col = col[nbr]
+    inside = col >= 0
+    a = np.zeros((len(own), len(own)))
+    a[owner[inside], col[inside]] = 1.0
+    return a, np.maximum(g.degrees[own], 1).astype(np.float64)
 
 
 def _ppr_vector(

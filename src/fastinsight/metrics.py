@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, Literal, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import GraphFormatError, UnknownNodeError
 from .graph import CorpusGraph
 from .ranked import RankedList
-
-PathMode = Literal["cost", "hops"]
 
 RetLike = Union[RankedList, Iterable[str]]
 
@@ -37,24 +35,20 @@ class SettledCosts(dict):
 def seed_path_costs(
     g: CorpusGraph,
     ret_keys: Sequence[str],
-    mode: PathMode = "cost",
     targets: Optional[Iterable[str]] = None,
 ) -> SettledCosts:
     """Multi-source node-weighted shortest-path costs from the retrieved set.
 
     The cost of reaching node v is the sum of log(1 + degree) over every node
-    on the path including the seed and v itself. With mode="hops", paths are
-    compared by hop count first and accumulated weight second (the
-    hop-shortest reading); the returned cost is still the weight sum.
+    on the path including the seed and v itself.
 
     Without ``targets`` every node reachable from the seeds is returned. With
     ``targets`` the search stops as soon as each target has at least one
     settled neighbor, and only the nodes settled so far are returned.
     Either way the dict lists nodes in settle order, which is non-decreasing
-    in (hops, cost), and every cost in it is final. A target's first settled
-    neighbor is thus its cheapest in both modes; its cost is ``.resolved[t]``.
+    in cost, and every cost in it is final. A target's first settled
+    neighbor is thus its cheapest; its cost is ``.resolved[t]``.
     """
-    step = 1 if mode == "hops" else 0
     weight: Dict[str, float] = {}  # log(1 + degree) of each node touched
 
     def node_weight(key: str) -> float:
@@ -63,10 +57,8 @@ def seed_path_costs(
             w = weight[key] = math.log1p(len(g.neighbors(key)))
         return w
 
-    best: Dict[str, Tuple[int, float]] = {}
-    for seed in set(ret_keys):
-        best[seed] = (0, node_weight(seed))
-    heap = [(hops, cost, key) for key, (hops, cost) in best.items()]
+    best = {seed: node_weight(seed) for seed in set(ret_keys)}
+    heap = [(cost, key) for key, cost in best.items()]
     heapq.heapify(heap)
 
     pending = None if targets is None else set(targets)
@@ -78,7 +70,7 @@ def seed_path_costs(
     settled: Dict[str, float] = {}
     resolved: Dict[str, float] = {}
     while heap and (pending is None or pending):
-        hops, cost, node = heapq.heappop(heap)
+        cost, node = heapq.heappop(heap)
         if node in settled:
             continue
         settled[node] = cost
@@ -89,10 +81,10 @@ def seed_path_costs(
                 resolved[nb] = cost
             if nb in settled:
                 continue
-            cand = (hops + step, cost + node_weight(nb))
+            cand = cost + node_weight(nb)
             if nb not in best or cand < best[nb]:
                 best[nb] = cand
-                heapq.heappush(heap, cand + (nb,))
+                heapq.heappush(heap, (cand, nb))
     out = SettledCosts(settled)
     out.resolved = resolved
     return out
@@ -102,7 +94,6 @@ def uncertainty(
     g: CorpusGraph,
     ret_keys: Iterable[str],
     target: str,
-    mode: PathMode = "cost",
 ) -> float:
     """Accumulated log-degree along the cheapest retrieved-to-target path.
 
@@ -116,7 +107,7 @@ def uncertainty(
         return 0.0
     if not ret_set:
         return math.inf
-    return seed_path_costs(g, tuple(ret_set), mode, (target,)).resolved.get(target, math.inf)
+    return seed_path_costs(g, tuple(ret_set), (target,)).resolved.get(target, math.inf)
 
 
 def recall_uncapped(ret: RetLike, oracle: Set[str]) -> float:
@@ -153,7 +144,6 @@ def tr_and_miss_tr(
     g: CorpusGraph,
     ret: RetLike,
     oracle: Set[str],
-    mode: PathMode = "cost",
 ) -> Tuple[float, float]:
     """Topological recall and its missed-gold component, from one search.
 
@@ -172,7 +162,7 @@ def tr_and_miss_tr(
         return 0.0, 0.0
     ret_set = set(ret_keys)
     missed = sorted(oracle - ret_set)
-    costs = seed_path_costs(g, ret_keys, mode=mode, targets=missed).resolved
+    costs = seed_path_costs(g, ret_keys, targets=missed).resolved
 
     def credit_sum(keys: List[str]) -> float:
         total = 0.0
@@ -191,13 +181,12 @@ def tr_and_miss_tr(
     return tr, len(missed) / len(oracle) * (credit_sum(missed) / len(missed))
 
 
-def topological_recall(g: CorpusGraph, ret: RetLike, oracle: Set[str],
-                       mode: PathMode = "cost") -> float:
+def topological_recall(g: CorpusGraph, ret: RetLike, oracle: Set[str]) -> float:
     """Mean over gold nodes of 1 / (1 + u); unreachable nodes contribute 0."""
-    return tr_and_miss_tr(g, ret, oracle, mode)[0]
+    return tr_and_miss_tr(g, ret, oracle)[0]
 
 
-def miss_tr(g: CorpusGraph, ret: RetLike, oracle: Set[str], mode: PathMode = "cost") -> float:
+def miss_tr(g: CorpusGraph, ret: RetLike, oracle: Set[str]) -> float:
     """Partial-credit component for gold nodes not retrieved (see
     :func:`tr_and_miss_tr`); zero, without a path search, when every gold
     node was retrieved."""
@@ -205,7 +194,7 @@ def miss_tr(g: CorpusGraph, ret: RetLike, oracle: Set[str], mode: PathMode = "co
         raise ValueError("oracle set is empty")
     if oracle <= set(_ret_keys(ret)):
         return 0.0
-    return tr_and_miss_tr(g, ret, oracle, mode)[1]
+    return tr_and_miss_tr(g, ret, oracle)[1]
 
 
 def marginal_recall_gain(

@@ -12,14 +12,14 @@ import abc
 import json
 import threading
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 import requests
 
 from .embedding import hash_embed
 from .errors import RerankerError
-from .graph import CorpusGraph
+from .graph import CorpusGraph, induced
 from .ranked import RankedList, key_rows
 
 # A latent batch is a |ret| x d_h float matrix, rows aligned with the ranked
@@ -166,23 +166,18 @@ class PropagationMatrix:
 
 
 class GRankerState:
-    """Work :func:`granker` has already done for one query, reused by its
-    later calls.
+    """Latent rows :func:`granker` has already extracted for one query,
+    reused by its later calls.
 
-    Holds the latent row of every document already scored, and the induced
-    0/1 adjacency of every node already seen together with each node's
-    full-graph degree. Both are kept in insertion order and gathered in the
-    current rank order, so a call only extracts and looks up the nodes that
-    are new to the list. One state serves one (query, graph, reranker);
-    :func:`fastinsight_retrieve` makes one per call and drops it on return.
+    Rows are kept in insertion order and gathered in the current rank order,
+    so a call only extracts the documents that are new to the list. One
+    state serves one (query, graph, reranker); :func:`fastinsight_retrieve`
+    makes one per call and drops it on return.
     """
 
     def __init__(self) -> None:
         self._latent_row: Dict[str, int] = {}
         self._latents: Optional[LatentBatch] = None
-        self._node_row: Dict[str, int] = {}
-        self._adjacency = np.zeros((0, 0))
-        self._degrees = np.zeros(0)
 
     def latents(self, q: str, keys: Sequence[str], g: CorpusGraph, rr: Reranker) -> LatentBatch:
         """Latent rows of ``keys`` in that order; only unseen keys reach the reranker."""
@@ -194,42 +189,18 @@ class GRankerState:
                 self._latent_row[k] = len(self._latent_row)
         return self._latents[key_rows(self._latent_row, keys)]
 
-    def induced(self, keys: Sequence[str], g: CorpusGraph) -> Tuple[np.ndarray, np.ndarray]:
-        """Induced adjacency of ``keys`` and their full-graph degrees (zero
-        replaced by 1), in the order of ``keys``. Unseen keys are added first,
-        each with a row and a column linking it to its seen neighbors."""
-        new = [k for k in keys if k not in self._node_row]
-        if new:
-            deg = [max(g.degree(k), 1) for k in new]  # raises before any change
-            n0 = len(self._node_row)
-            for k in new:
-                self._node_row[k] = len(self._node_row)
-            row_of = self._node_row
-            a = np.zeros((len(row_of), len(row_of)))
-            a[:n0, :n0] = self._adjacency
-            for i, key in enumerate(new, start=n0):
-                for nb in g.neighbors(key):
-                    j = row_of.get(nb)
-                    if j is not None:
-                        a[i, j] = a[j, i] = 1.0
-            self._adjacency = a
-            self._degrees = np.concatenate([self._degrees, np.asarray(deg, dtype=np.float64)])
-        idx = key_rows(self._node_row, keys)
-        return self._adjacency[np.ix_(idx, idx)], self._degrees[idx]
 
-
-def build_propagation(ret: RankedList, g: CorpusGraph,
-                      state: Optional[GRankerState] = None) -> PropagationMatrix:
+def build_propagation(ret: RankedList, g: CorpusGraph) -> PropagationMatrix:
     """Construct the propagation matrix for the subgraph induced by ``ret``.
 
-    A is the induced (symmetric) adjacency; D holds full-graph degrees
-    (zero degrees replaced by 1 to stay invertible; such nodes have empty A
-    rows anyway); W = A @ D^-1 weights each neighbor by the reciprocal of its
+    A is the induced (symmetric) adjacency, read from the graph's CSR by
+    :func:`~fastinsight.graph.induced`; D holds full-graph degrees (zero
+    degrees replaced by 1 to stay invertible; such nodes have empty A rows
+    anyway); W = A @ D^-1 weights each neighbor by the reciprocal of its
     full-graph degree; P row-normalizes W. Rows with no neighbor are flagged
-    isolated and left all-zero. A ``state`` from earlier calls on a shorter
-    list of the same query supplies the adjacency of the nodes it has seen.
+    isolated and left all-zero.
     """
-    a, deg = (GRankerState() if state is None else state).induced(ret.keys(), g)
+    a, deg = induced(g, ret.keys())
     w = a / deg[np.newaxis, :]
     row_sums = w.sum(axis=1)
     isolated = frozenset(int(i) for i in np.flatnonzero(row_sums == 0.0))
@@ -299,7 +270,7 @@ def granker(q: str, ret: RankedList, g: CorpusGraph, alpha: float, rr: Reranker,
     if state is None:
         state = GRankerState()
     h = state.latents(q, ret.keys(), g, rr)
-    p = build_propagation(ret, g, state=state)
+    p = build_propagation(ret, g)
     fused = fuse_latents(h, p, alpha)
     scores = rr.head_scores(fused)
     return RankedList.from_scores(zip(ret.keys(), scores.tolist()))

@@ -234,6 +234,16 @@ def test_methods_share_stage_names_and_embed_once(rich, method, stages):
     assert trace.vs_calls == 1
 
 
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_methods_stay_within_budget(rich, method):
+    # batch == budget leaves ppr no room past its seeds
+    g, index, emb, rr = rich
+    for batch, budget in [(10, 10), (20, 20), (1, 1), (7, 12)]:
+        cfg = FastInsightConfig(batch=batch, budget=budget, k_report=min(budget, 10))
+        ret, _ = METHODS[method]("tok1 tok2", g, index, emb, rr, cfg)
+        assert 1 <= len(ret) <= budget, (batch, budget)
+
+
 @st.composite
 def _graph_and_config(draw):
     n = draw(st.integers(2, 24))
@@ -254,8 +264,8 @@ def _graph_and_config(draw):
 @settings(max_examples=100, deadline=None)
 @given(_graph_and_config(), st.sampled_from(["w1", "w2 w4", "w0 w3 w6"]))
 def test_engine_matches_stateless_granker_loop(case, q):
-    # The engine reuses latents and adjacency across granker calls; a loop of
-    # stateless calls recomputes both every time. They must agree bit for bit.
+    # The engine reuses latents across granker calls; a loop of stateless
+    # calls extracts them every time. They must agree bit for bit.
     g, cfg = case
     emb, rr = HashEmbedder(16), HashReranker(16)
     index = build_index(g, emb)

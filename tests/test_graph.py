@@ -28,6 +28,7 @@ from fastinsight.errors import (
     GraphValidationError,
     UnknownNodeError,
 )
+from fastinsight.graph import induced
 
 from conftest import make_graph, random_graph, ranked
 
@@ -128,6 +129,19 @@ def _edge_case(draw):
     return keys, edges
 
 
+def _induced_reference(g, keys):
+    """Induced adjacency and degrees (zero replaced by 1) in the order of
+    ``keys``, built by one neighbor loop per key."""
+    row_of = {key: i for i, key in enumerate(keys)}
+    a = np.zeros((len(keys), len(keys)))
+    for i, key in enumerate(keys):
+        for nb in g.neighbors(key):
+            j = row_of.get(nb)
+            if j is not None:
+                a[i, j] = a[j, i] = 1.0
+    return a, np.asarray([max(g.degree(k), 1) for k in keys], dtype=np.float64)
+
+
 class TestCSR:
     @settings(max_examples=200, deadline=None)
     @given(_edge_case())
@@ -157,6 +171,20 @@ class TestCSR:
             assert (d / "e2.tsv").read_bytes() == written
         assert sorted(tuple(line.split("\t")) for line in written.decode().splitlines()) == distinct
         assert np.array_equal(g2.indptr, g.indptr) and np.array_equal(g2.indices, g.indices)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_edge_case(), st.data())
+    def test_induced_matches_neighbor_loop(self, case, data):
+        # Any subset of the keys, in any order; "?" is no key.
+        keys, edges = case
+        g = make_graph(keys, edges)
+        sub = data.draw(st.lists(st.sampled_from(keys), unique=True))
+        a, deg = induced(g, sub)
+        want_a, want_deg = _induced_reference(g, sub)
+        assert a.dtype == deg.dtype == np.float64
+        assert np.array_equal(a, want_a) and np.array_equal(deg, want_deg)
+        with pytest.raises(UnknownNodeError):
+            induced(g, sub + ["?"])
 
     def test_arrays_read_only(self, path_graph):
         with pytest.raises(ValueError):

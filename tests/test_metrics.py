@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastinsight import (
@@ -29,67 +29,61 @@ LN2 = math.log(2)
 LN3 = math.log(3)
 
 
-def _exhaustive_uncertainty(g, ret_keys, target, mode="cost"):
+def _exhaustive_uncertainty(g, ret_keys, target):
     """Brute-force u over all simple paths from any retrieved node to target."""
     ret_set = set(ret_keys)
     if target in ret_set:
         return 0.0
-    best = None
+    best = math.inf
     w = {k: math.log1p(g.degree(k)) for k in g.node_keys}
 
-    def dfs(node, visited, hops, weight):
+    def dfs(node, visited, weight):
         nonlocal best
         if node == target:
-            cand = (hops, weight) if mode == "hops" else (weight,)
-            if best is None or cand < best:
-                best = cand
+            best = min(best, weight)
             return
         for nb in g.neighbors(node):
             if nb not in visited:
                 extra = w[nb] if nb != target else 0.0
-                dfs(nb, visited | {nb}, hops + 1, weight + extra)
+                dfs(nb, visited | {nb}, weight + extra)
 
     for seed in ret_set:
-        dfs(seed, {seed}, 0, w[seed])
-    return math.inf if best is None else best[-1]
+        dfs(seed, {seed}, w[seed])
+    return best
 
 
-def _reference_costs_to_predecessors(g, ret_keys, mode):
+def _reference_costs_to_predecessors(g, ret_keys):
     """u-values by the full-run algorithm: Dijkstra over the whole component
-    from the retrieved set, then for every node the cheapest (hops, cost)
-    among its neighbors. The early-stopping search must match it."""
+    from the retrieved set, then for every node the cheapest cost among its
+    neighbors. The early-stopping search must match it."""
     dist = {}
     heap = []
     for seed in set(ret_keys):
-        w = math.log1p(g.degree(seed))
-        dist[seed] = (0, w) if mode == "hops" else (w,)
-        heapq.heappush(heap, dist[seed] + (seed,))
+        dist[seed] = math.log1p(g.degree(seed))
+        heapq.heappush(heap, (dist[seed], seed))
     while heap:
-        *cost_t, node = heapq.heappop(heap)
-        cost = tuple(cost_t)
+        cost, node = heapq.heappop(heap)
         if dist.get(node) != cost:
             continue
         for nb in g.neighbors(node):
-            w = math.log1p(g.degree(nb))
-            cand = (cost[0] + 1, cost[1] + w) if mode == "hops" else (cost[0] + w,)
+            cand = cost + math.log1p(g.degree(nb))
             if nb not in dist or cand < dist[nb]:
                 dist[nb] = cand
-                heapq.heappush(heap, cand + (nb,))
+                heapq.heappush(heap, (cand, nb))
     out = {}
     for key in g.node_keys:
         reachable = [dist[nb] for nb in g.neighbors(key) if nb in dist]
         if reachable:
-            out[key] = min(reachable)[-1]
+            out[key] = min(reachable)
     return out
 
 
-def _two_pass_seed_path_costs(g, ret_keys, mode="cost", targets=None):
+def _two_pass_seed_path_costs(g, ret_keys, targets=None):
     """The search as it was before it resolved its targets itself: a pre-pass
     maps each node to the targets it neighbors, and a target stops pending
     when one of those nodes settles. The reference for the one-pass search."""
-    step = 1 if mode == "hops" else 0
-    best = {seed: (0, math.log1p(g.degree(seed))) for seed in set(ret_keys)}
-    heap = [(hops, cost, key) for key, (hops, cost) in best.items()]
+    best = {seed: math.log1p(g.degree(seed)) for seed in set(ret_keys)}
+    heap = [(cost, key) for key, cost in best.items()]
     heapq.heapify(heap)
     pending = None
     resolves = {}
@@ -100,7 +94,7 @@ def _two_pass_seed_path_costs(g, ret_keys, mode="cost", targets=None):
                 resolves.setdefault(nb, []).append(t)
     settled = {}
     while heap and (pending is None or pending):
-        hops, cost, node = heapq.heappop(heap)
+        cost, node = heapq.heappop(heap)
         if node in settled:
             continue
         settled[node] = cost
@@ -109,17 +103,17 @@ def _two_pass_seed_path_costs(g, ret_keys, mode="cost", targets=None):
         for nb in g.neighbors(node):
             if nb in settled:
                 continue
-            cand = (hops + step, cost + math.log1p(g.degree(nb)))
+            cand = cost + math.log1p(g.degree(nb))
             if nb not in best or cand < best[nb]:
                 best[nb] = cand
-                heapq.heappush(heap, cand + (nb,))
+                heapq.heappush(heap, (cand, nb))
     return settled
 
 
-def _two_pass_costs_to_predecessors(g, ret_keys, targets, mode):
+def _two_pass_costs_to_predecessors(g, ret_keys, targets):
     """u-values the old way: rescan each target's neighbors for the first one
     in settle order."""
-    settled = _two_pass_seed_path_costs(g, ret_keys, mode=mode, targets=targets)
+    settled = _two_pass_seed_path_costs(g, ret_keys, targets=targets)
     order = {key: i for i, key in enumerate(settled)}
     out = {}
     for t in targets:
@@ -129,14 +123,14 @@ def _two_pass_costs_to_predecessors(g, ret_keys, targets, mode):
     return out
 
 
-def _reference_uncertainty(g, ret_keys, target, mode):
+def _reference_uncertainty(g, ret_keys, target):
     if target in ret_keys:
         return 0.0
-    return _reference_costs_to_predecessors(g, ret_keys, mode).get(target, math.inf)
+    return _reference_costs_to_predecessors(g, ret_keys).get(target, math.inf)
 
 
-def _reference_tr(g, ret_keys, oracle, mode):
-    costs = _reference_costs_to_predecessors(g, ret_keys, mode)
+def _reference_tr(g, ret_keys, oracle):
+    costs = _reference_costs_to_predecessors(g, ret_keys)
     total = 0.0
     for key in sorted(oracle):
         if key in ret_keys:
@@ -237,27 +231,12 @@ class TestUncertainty:
             keys = list(g.node_keys)
             ret = rng.sample(keys, rng.randint(1, g.n_nodes - 1))
             target = rng.choice([k for k in keys])
-            for mode in ("cost", "hops"):
-                got = uncertainty(g, ret, target, mode=mode)
-                want = _exhaustive_uncertainty(g, ret, target, mode=mode)
-                if math.isinf(want):
-                    assert math.isinf(got)
-                else:
-                    assert got == pytest.approx(want, abs=1e-9)
-
-    def test_hops_mode_prefers_fewer_hops(self):
-        # two-hop route through a high-degree hub vs a cheaper three-hop chain
-        leaves = [f"h{i}" for i in range(8)]
-        g = make_graph(
-            ["s", "hub", "t", "c1", "c2"] + leaves,
-            [("s", "hub"), ("hub", "t"), ("s", "c1"), ("c1", "c2"), ("c2", "t")]
-            + [("hub", h) for h in leaves],
-        )
-        cheap = uncertainty(g, ["s"], "t", mode="cost")
-        hoppy = uncertainty(g, ["s"], "t", mode="hops")
-        assert cheap == pytest.approx(3 * math.log(3))       # s, c1, c2 all degree 2
-        assert hoppy == pytest.approx(math.log(3) + math.log(11))  # s + hub
-        assert hoppy > cheap
+            got = uncertainty(g, ret, target)
+            want = _exhaustive_uncertainty(g, ret, target)
+            if math.isinf(want):
+                assert math.isinf(got)
+            else:
+                assert got == pytest.approx(want, abs=1e-9)
 
     def test_seed_path_costs_covers_component(self, path_graph):
         costs = seed_path_costs(path_graph, ["a"])
@@ -321,38 +300,24 @@ class TestTopologicalRecall:
         assert miss_tr(path_graph, ["a", "b", "c"], {"a", "c"}) == 0.0
 
 
-def _hops_case():
-    """In hops mode u(t) is the cost of hub (one hop from s), though c2 (two
-    hops) is cheaper; the gold node "far" keeps the search going until c2
-    has settled too."""
-    leaves = [f"h{i}" for i in range(8)]
-    g = make_graph(
-        ["s", "hub", "t", "c1", "c2", "far"] + leaves,
-        [("s", "hub"), ("hub", "t"), ("s", "c1"), ("c1", "c2"), ("c2", "t"), ("h0", "far")]
-        + [("hub", h) for h in leaves],
-    )
-    return g, ["s"], {"t", "far"}
-
-
 class TestEarlyStop:
     @settings(max_examples=300, deadline=None)
-    @given(_metric_case(), st.sampled_from(["cost", "hops"]))
-    @example(case=_hops_case(), mode="hops")
-    def test_matches_full_run_reference(self, case, mode):
+    @given(_metric_case())
+    def test_matches_full_run_reference(self, case):
         # Every node is a target once: retrieved ones, the unreachable "far",
         # seed neighbors and the rest. Equality, not approx: the early stop
         # must pick the very same path cost, and the shared search the very
         # same tr and miss_tr.
         g, ret, oracle = case
         for target in g.node_keys:
-            got = uncertainty(g, ret, target, mode=mode)
-            assert got == _reference_uncertainty(g, set(ret), target, mode), target
-        want_tr = _reference_tr(g, set(ret), oracle, mode)
-        assert topological_recall(g, ret, oracle, mode=mode) == want_tr
+            got = uncertainty(g, ret, target)
+            assert got == _reference_uncertainty(g, set(ret), target), target
+        want_tr = _reference_tr(g, set(ret), oracle)
+        assert topological_recall(g, ret, oracle) == want_tr
         missed = oracle - set(ret)
-        want = len(missed) / len(oracle) * _reference_tr(g, set(ret), missed, mode) if missed else 0.0
-        assert miss_tr(g, ret, oracle, mode=mode) == want
-        assert tr_and_miss_tr(g, ret, oracle, mode=mode) == (want_tr, want)
+        want = len(missed) / len(oracle) * _reference_tr(g, set(ret), missed) if missed else 0.0
+        assert miss_tr(g, ret, oracle) == want
+        assert tr_and_miss_tr(g, ret, oracle) == (want_tr, want)
 
     def test_targets_settle_only_the_nodes_needed(self):
         keys = [f"p{i:03d}" for i in range(200)]
@@ -367,17 +332,17 @@ class TestEarlyStop:
 
 class TestOnePassSearch:
     @settings(max_examples=300, deadline=None)
-    @given(_metric_case(), st.sampled_from(["cost", "hops"]), st.data())
-    def test_matches_two_pass_reference(self, case, mode, data):
+    @given(_metric_case(), st.data())
+    def test_matches_two_pass_reference(self, case, data):
         # Targets may be retrieved, the isolated "far", unreachable or
         # repeated; None searches the whole component.
         g, ret, _ = case
         targets = data.draw(st.none() | st.lists(st.sampled_from(g.node_keys), max_size=8))
-        got = seed_path_costs(g, ret, mode=mode, targets=targets)
-        want = _two_pass_seed_path_costs(g, ret, mode=mode, targets=targets)
+        got = seed_path_costs(g, ret, targets=targets)
+        want = _two_pass_seed_path_costs(g, ret, targets=targets)
         assert list(got.items()) == list(want.items())
         assert got.resolved == ({} if targets is None
-                                else _two_pass_costs_to_predecessors(g, ret, targets, mode))
+                                else _two_pass_costs_to_predecessors(g, ret, targets))
 
 
 _TR_SCRIPT = """
