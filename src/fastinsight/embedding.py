@@ -19,7 +19,10 @@ from .ranked import RankedList, key_rows, top_rows
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 CACHE_MAGIC = b"GSIX"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+DIGEST_SIZE = 16  # bytes of blake2b content digest per cache record
+
+CacheRecords = Dict[str, Tuple[bytes, np.ndarray]]  # key -> (content digest, vector)
 
 
 def hash_embed(text: str, d: int = 256) -> np.ndarray:
@@ -44,17 +47,27 @@ def hash_embed(text: str, d: int = 256) -> np.ndarray:
 
 
 class Embedder(Protocol):
-    """Text-to-vector encoder; deterministic, fixed output dimension."""
+    """Text-to-vector encoder; deterministic, fixed output dimension.
+
+    ``encode_nodes`` encodes up to ``batch_size`` texts in one call and
+    returns one vector per text, in order; :func:`build_index` sends it the
+    graph's nodes in chunks of that size.
+    """
 
     dimension: int
+    batch_size: int
 
     def encode_query(self, text: str) -> np.ndarray: ...
 
     def encode_node(self, text: str) -> np.ndarray: ...
 
+    def encode_nodes(self, texts: Sequence[str]) -> List[np.ndarray]: ...
+
 
 class HashEmbedder:
     """Offline embedder backed by :func:`hash_embed`; safe for concurrent use."""
+
+    batch_size = 32  # build_index's chunk size; any size gives the same index
 
     def __init__(self, dimension: int = 256):
         self.dimension = dimension
@@ -67,14 +80,20 @@ class HashEmbedder:
         self.calls += 1
         return hash_embed(text, self.dimension)
 
+    def encode_nodes(self, texts: Sequence[str]) -> List[np.ndarray]:
+        return [self.encode_node(t) for t in texts]
+
 
 class RemoteEmbedder:
     """Embedder backed by an HTTP endpoint.
 
-    POSTs {"texts": [...]} and expects {"vectors": [[...], ...]} back.
+    POSTs {"texts": [...]} and expects {"vectors": [[...], ...]} back, one
+    vector per text. :meth:`encode_nodes` sends all its texts in one request.
     """
 
     def __init__(self, url: str, dimension: int, batch_size: int = 32, timeout: float = 30.0):
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.url = url
         self.dimension = dimension
         self.batch_size = batch_size
@@ -85,6 +104,10 @@ class RemoteEmbedder:
         resp = requests.post(self.url, json={"texts": list(texts)}, timeout=self.timeout)
         resp.raise_for_status()
         vectors = resp.json()["vectors"]
+        if len(vectors) != len(texts):
+            raise DimensionMismatchError(
+                f"remote embedder returned {len(vectors)} vectors for {len(texts)} texts"
+            )
         out = []
         for v in vectors:
             arr = np.asarray(v, dtype=np.float64)
@@ -95,10 +118,13 @@ class RemoteEmbedder:
             out.append(arr)
         return out
 
-    def encode_node(self, text: str) -> np.ndarray:
+    def encode_nodes(self, texts: Sequence[str]) -> List[np.ndarray]:
         # The HTTP contract is not assumed concurrent-safe; serialize calls.
         with self._lock:
-            return self._encode_batch([text])[0]
+            return self._encode_batch(texts)
+
+    def encode_node(self, text: str) -> np.ndarray:
+        return self.encode_nodes([text])[0]
 
     encode_query = encode_node
 
@@ -148,20 +174,26 @@ class EmbeddingIndex:
         return self.matrix[self.row(key)]
 
 
-def write_cache(path: str, index: EmbeddingIndex) -> None:
-    """Persist index vectors in the binary cache format."""
+def content_digest(text: str) -> bytes:
+    """The blake2b digest that a cache record keeps of its node's content."""
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=DIGEST_SIZE).digest()
+
+
+def write_cache(path: str, records: CacheRecords, dimension: int) -> None:
+    """Persist encoder vectors, each with its content digest, as ``<f8``."""
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<IIQ", CACHE_VERSION, index.dimension, len(index.keys)))
-        for i, key in enumerate(index.keys):
+        fh.write(struct.pack("<IIQ", CACHE_VERSION, dimension, len(records)))
+        for key, (digest, vector) in records.items():
             kb = key.encode("utf-8")
             fh.write(struct.pack("<I", len(kb)))
             fh.write(kb)
-            fh.write(index.matrix[i].astype("<f4").tobytes())
+            fh.write(digest)
+            fh.write(np.asarray(vector, dtype="<f8").tobytes())
 
 
-def read_cache(path: str) -> Tuple[Dict[str, np.ndarray], int]:
-    """Read a binary vector cache; returns (vectors, dimension)."""
+def read_cache(path: str) -> Tuple[CacheRecords, int]:
+    """Read a binary vector cache; returns (records, dimension)."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CACHE_MAGIC:
@@ -169,15 +201,16 @@ def read_cache(path: str) -> Tuple[Dict[str, np.ndarray], int]:
         version, d, count = struct.unpack("<IIQ", fh.read(16))
         if version != CACHE_VERSION:
             raise CacheInvalidError(f"unsupported cache version {version}")
-        vectors: Dict[str, np.ndarray] = {}
+        records: CacheRecords = {}
         for _ in range(count):
             (klen,) = struct.unpack("<I", fh.read(4))
             key = fh.read(klen).decode("utf-8")
-            buf = fh.read(4 * d)
-            if len(buf) != 4 * d:
+            digest = fh.read(DIGEST_SIZE)
+            buf = fh.read(8 * d)
+            if len(digest) != DIGEST_SIZE or len(buf) != 8 * d:
                 raise CacheInvalidError(f"truncated cache record for {key!r}")
-            vectors[key] = np.frombuffer(buf, dtype="<f4").astype(np.float64)
-    return vectors, d
+            records[key] = (digest, np.frombuffer(buf, dtype="<f8").astype(np.float64))
+    return records, d
 
 
 def build_index(
@@ -188,36 +221,44 @@ def build_index(
     """Encode every node of the graph into a unit-normalized
     :class:`EmbeddingIndex`.
 
-    When ``cache_path`` exists, cached vectors are reused; only nodes missing
-    from the cache are encoded, and the cache is rewritten if anything new was
-    encoded. A cache with a different dimension raises
-    :class:`CacheInvalidError`.
+    Nodes are encoded through ``emb.encode_nodes`` in ``node_keys`` order, in
+    chunks of ``emb.batch_size``; a failing chunk raises :class:`EncoderError`
+    naming its first key.
+
+    When ``cache_path`` exists, a cached vector is reused if its record's
+    content digest matches the node's content; every other node is encoded,
+    and the cache is rewritten if anything was. The cache holds the encoder's
+    vectors exactly, so a cached index equals a fresh one. A cache with a
+    different dimension raises :class:`CacheInvalidError`.
     """
     d = emb.dimension
-    cached: Dict[str, np.ndarray] = {}
-    if cache_path is not None:
-        if os.path.exists(cache_path):
-            cached, cache_d = read_cache(cache_path)
-            if cache_d != d:
-                raise CacheInvalidError(
-                    f"cache dimension {cache_d} != embedder dimension {d}"
-                )
+    cached: CacheRecords = {}
+    if cache_path is not None and os.path.exists(cache_path):
+        cached, cache_d = read_cache(cache_path)
+        if cache_d != d:
+            raise CacheInvalidError(f"cache dimension {cache_d} != embedder dimension {d}")
 
     vectors: Dict[str, np.ndarray] = {}
-    encoded_any = False
+    todo: List[str] = []
     for key in g.node_keys:
-        if key in cached:
-            vectors[key] = cached[key]
-            continue
+        hit = cached.get(key)
+        if hit is not None and hit[0] == content_digest(g.content(key)):
+            vectors[key] = hit[1]
+        else:
+            todo.append(key)
+
+    encode, size = emb.encode_nodes, emb.batch_size
+    for start in range(0, len(todo), size):
+        chunk = todo[start:start + size]
         try:
-            vectors[key] = emb.encode_node(g.content(key))
-        except Exception as exc:  # noqa: BLE001 - rewrap with the node key
-            raise EncoderError(key, str(exc)) from exc
-        encoded_any = True
+            vectors.update(zip(chunk, encode([g.content(key) for key in chunk])))
+        except Exception as exc:  # noqa: BLE001 - rewrap with the chunk's first key
+            raise EncoderError(chunk[0], str(exc)) from exc
 
     index = EmbeddingIndex(vectors, d, normalize=True)
-    if cache_path is not None and encoded_any:
-        write_cache(cache_path, index)
+    if cache_path is not None and todo:
+        records = {key: (content_digest(g.content(key)), vectors[key]) for key in g.node_keys}
+        write_cache(cache_path, records, d)
     return index
 
 

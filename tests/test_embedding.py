@@ -1,4 +1,5 @@
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from fastinsight import (
     hash_embed,
     vector_search,
 )
-from fastinsight.embedding import read_cache, write_cache
+from fastinsight.embedding import CACHE_MAGIC, content_digest, read_cache, write_cache
 from fastinsight.errors import CacheInvalidError, DimensionMismatchError, EncoderError
 
 from conftest import make_graph
@@ -81,27 +82,70 @@ class TestBuildIndex:
     def test_cache_roundtrip(self, tmp_path):
         g = make_graph(["a", "b"], [])
         emb = HashEmbedder(32)
-        index = build_index(g, emb)
+        records = {k: (content_digest(g.content(k)), emb.encode_node(g.content(k)))
+                   for k in g.node_keys}
         path = str(tmp_path / "v.bin")
-        write_cache(path, index)
-        vectors, d = read_cache(path)
-        assert d == 32 and set(vectors) == {"a", "b"}
-        for k in vectors:
-            assert np.allclose(vectors[k], index.vector(k), atol=1e-6)
+        write_cache(path, records, 32)
+        got, d = read_cache(path)
+        assert d == 32 and set(got) == {"a", "b"}
+        for k, (digest, vector) in got.items():
+            assert digest == records[k][0]
+            assert np.array_equal(vector, records[k][1])
+
+    def test_cached_index_equals_fresh(self, tmp_path):
+        keys = [f"n{i:03d}" for i in range(60)]
+        contents = {k: f"node {k} about topic {i % 7} and word{i * 13 % 11}"
+                    for i, k in enumerate(keys)}
+        g = make_graph(keys, [], contents=contents)
+        cache = str(tmp_path / "vectors.bin")
+        fresh = build_index(g, HashEmbedder(64), cache_path=cache)
+        emb = HashEmbedder(64)
+        cached = build_index(g, emb, cache_path=cache)
+        assert emb.calls == 0
+        assert cached.keys == fresh.keys
+        assert np.array_equal(fresh.matrix, cached.matrix)
+
+    def test_changed_content_is_reencoded(self, tmp_path):
+        cache = str(tmp_path / "vectors.bin")
+        old = make_graph(["a", "b", "c"], [], contents={"a": "alpha", "b": "beta", "c": "gamma"})
+        build_index(old, HashEmbedder(64), cache_path=cache)
+        new = make_graph(["a", "b", "c"], [], contents={"a": "alpha", "b": "delta", "c": "gamma"})
+        emb = HashEmbedder(64)
+        index = build_index(new, emb, cache_path=cache)
+        assert emb.calls == 1
+        assert np.array_equal(index.vector("b"), hash_embed("delta", 64))
+        # The rewritten cache now holds the new content's vector.
+        emb = HashEmbedder(64)
+        again = build_index(new, emb, cache_path=cache)
+        assert emb.calls == 0
+        assert np.array_equal(again.matrix, index.matrix)
+
+    def test_version_1_cache_rejected(self, tmp_path):
+        path = tmp_path / "v1.bin"
+        key = b"a"
+        path.write_bytes(CACHE_MAGIC + struct.pack("<IIQ", 1, 8, 1) + struct.pack("<I", len(key))
+                         + key + np.zeros(8, "<f4").tobytes())
+        with pytest.raises(CacheInvalidError, match="version 1"):
+            build_index(make_graph(["a"], []), HashEmbedder(8), cache_path=str(path))
 
     def test_encoder_failure_names_node(self):
         class Boom:
             dimension = 16
+            batch_size = 4
 
             def encode_query(self, text):
                 return np.zeros(16)
 
             def encode_node(self, text):
+                return np.zeros(16)
+
+            def encode_nodes(self, texts):
                 raise RuntimeError("backend down")
 
         g = make_graph(["problematic"], [])
-        with pytest.raises(EncoderError, match="problematic"):
+        with pytest.raises(EncoderError, match="problematic") as info:
             build_index(g, Boom())
+        assert "backend down" in str(info.value)
 
 
 class TestVectorSearch:

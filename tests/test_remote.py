@@ -17,7 +17,7 @@ from fastinsight import (
     hash_embed,
     rerank_pool,
 )
-from fastinsight.errors import DimensionMismatchError
+from fastinsight.errors import DimensionMismatchError, EncoderError
 
 from conftest import make_graph, ranked
 
@@ -37,6 +37,13 @@ class _Handler(BaseHTTPRequestHandler):
             payload = {"vectors": [hash_embed(t, DIM).tolist() for t in texts]}
         elif self.path == "/embed-bad-dim":
             payload = {"vectors": [[0.0] * (DIM + 3) for _ in body["texts"]]}
+        elif self.path == "/embed-short":
+            payload = {"vectors": [hash_embed(t, DIM).tolist() for t in body["texts"][1:]]}
+        elif self.path == "/embed-fail":
+            if "boom" in body["texts"]:
+                self.send_error(500)
+                return
+            payload = {"vectors": [hash_embed(t, DIM).tolist() for t in body["texts"]]}
         elif self.path == "/rerank":
             assert body["return_latents"] is True
             q = hash_embed(body["query"], DIM)
@@ -86,6 +93,19 @@ class TestRemoteEmbedder:
         with pytest.raises(DimensionMismatchError):
             emb.encode_query("x")
 
+    def test_short_reply_rejected(self, server):
+        emb = RemoteEmbedder(f"{server}/embed-short", DIM)
+        with pytest.raises(DimensionMismatchError, match="2 vectors for 3 texts"):
+            emb.encode_nodes(["a", "b", "c"])
+        g = make_graph(["a", "b", "c"], [])
+        with pytest.raises(EncoderError, match="'a'.*2 vectors for 3 texts"):
+            build_index(g, emb)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_batch_size_below_one_rejected(self, size):
+        with pytest.raises(ValueError, match="batch_size"):
+            RemoteEmbedder("http://127.0.0.1:1/unused", DIM, batch_size=size)
+
     def test_encode_query_serialized_like_encode_node(self):
         emb = RemoteEmbedder("http://127.0.0.1:1/unused", DIM)
         active, overlaps = [0], []
@@ -101,20 +121,62 @@ class TestRemoteEmbedder:
             return [hash_embed(t, DIM) for t in texts]
 
         emb._encode_batch = fake_batch
-        threads = [threading.Thread(target=lambda i=i: [emb.encode_query(f"q{i} {j}") for j in range(10)])
+        queries = [threading.Thread(target=lambda i=i: [emb.encode_query(f"q{i} {j}") for j in range(10)])
                    for i in range(4)]
+        batches = [threading.Thread(target=lambda i=i: [emb.encode_nodes([f"n{i} {j}", "x"])
+                                                        for j in range(10)])
+                   for i in range(2)]
+        threads = queries + batches
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=30)
         assert not any(t.is_alive() for t in threads)
-        assert len(overlaps) == 40 and not any(overlaps)
+        assert len(overlaps) == 60 and not any(overlaps)
 
     def test_http_error_propagates(self, server):
         import requests
         emb = RemoteEmbedder(f"{server}/missing", DIM)
         with pytest.raises(requests.HTTPError):
             emb.encode_query("x")
+
+
+def _keys(n):
+    return [f"n{i:03d}" for i in range(n)]
+
+
+class TestRemoteBuildIndex:
+    def test_one_request_per_batch(self, server):
+        g = make_graph(_keys(70), [])
+        _Handler.batch_sizes.clear()
+        index = build_index(g, RemoteEmbedder(f"{server}/embed", DIM))
+        assert _Handler.batch_sizes == [32, 32, 6]
+        assert len(index) == 70
+
+    def test_batched_index_equals_per_node(self, server):
+        g = make_graph(_keys(40), [])
+        emb = RemoteEmbedder(f"{server}/embed", DIM)
+        batched = build_index(g, emb)
+        per_node = build_index(g, RemoteEmbedder(f"{server}/embed", DIM, batch_size=1))
+        assert np.array_equal(batched.matrix, per_node.matrix)
+
+    def test_rebuild_sends_only_uncached_nodes(self, server, tmp_path):
+        cache = str(tmp_path / "vectors.bin")
+        emb = RemoteEmbedder(f"{server}/embed", DIM)
+        build_index(make_graph(_keys(70), []), emb, cache_path=cache)
+        contents = {"n010": "changed content"}
+        g = make_graph(_keys(75), [], contents=contents)
+        _Handler.batch_sizes.clear()
+        index = build_index(g, emb, cache_path=cache)
+        assert _Handler.batch_sizes == [6]  # n070..n074 and the changed n010
+        v = hash_embed("changed content", DIM)
+        assert np.array_equal(index.vector("n010"), v / np.linalg.norm(v))
+
+    def test_failure_names_first_key_of_chunk(self, server):
+        g = make_graph(_keys(70), [], contents={"n040": "boom"})
+        with pytest.raises(EncoderError) as info:
+            build_index(g, RemoteEmbedder(f"{server}/embed-fail", DIM))
+        assert info.value.key == "n032"
 
 
 class TestRemoteReranker:
