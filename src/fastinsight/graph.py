@@ -37,17 +37,17 @@ class CorpusGraph:
     """Immutable undirected graph whose every node carries a textual content.
 
     Node ids number the keys in ascending order, the row order of
-    ``EmbeddingIndex``. The adjacency is stored as CSR: the neighbor ids of
-    node ``i`` are ``indices[indptr[i]:indptr[i + 1]]``, distinct and
+    ``EmbeddingIndex``. The adjacency is stored once, as CSR: the neighbor
+    ids of node ``i`` are ``indices[indptr[i]:indptr[i + 1]]``, distinct and
     ascending, so every traversal is deterministic. A node's neighbors are
     the nodes an edge joins it to in either direction; :meth:`neighbors`
-    serves the same lists as key tuples. The distinct directed edges as
-    given are kept only so that :func:`save_graph` writes them back
-    unchanged. Instances are safe to share across threads after
+    and :meth:`degree` read them from the CSR by key. The distinct directed
+    edges as given are kept only so that :func:`save_graph` writes them
+    back unchanged. Instances are safe to share across threads after
     construction.
     """
 
-    __slots__ = ("_content", "_keys", "_index", "_und", "_indptr", "_indices",
+    __slots__ = ("_content", "_keys", "_index", "_indptr", "_indices",
                  "_degrees", "_directed", "self_loops_dropped")
 
     def __init__(
@@ -90,9 +90,6 @@ class CorpusGraph:
         np.cumsum(degrees, out=indptr[1:])
         indptr.flags.writeable = cols.flags.writeable = degrees.flags.writeable = False
 
-        flat = np.array(keys, dtype=object)[cols].tolist()
-        bounds = indptr.tolist()
-        self._und = {key: tuple(flat[bounds[i]:bounds[i + 1]]) for i, key in enumerate(keys)}
         self._content = content
         self._keys = keys
         self._index = index
@@ -140,14 +137,12 @@ class CorpusGraph:
             raise UnknownNodeError(key) from None
 
     def neighbors(self, key: str) -> Tuple[str, ...]:
-        """Distinct neighbor keys of ``key``, sorted ascending."""
-        try:
-            return self._und[key]
-        except KeyError:
-            raise UnknownNodeError(key) from None
+        """Distinct neighbor keys of ``key``, sorted ascending: its CSR row."""
+        (i,) = self.ids((key,))
+        return tuple(map(self._keys.__getitem__, self._indices[self._indptr[i]:self._indptr[i + 1]].tolist()))
 
     def degree(self, key: str) -> int:
-        return len(self.neighbors(key))
+        return int(self._degrees[self.ids((key,))[0]])
 
     def ids(self, keys: Sequence[str]) -> np.ndarray:
         """Node id of each key, in order."""
@@ -183,10 +178,20 @@ def _open_source(source: Source) -> Iterator[BinaryIO]:
         yield raw
 
 
+def text_lines(fh: BinaryIO, source: str) -> Iterator[Tuple[int, str]]:
+    """(line number, text without its line end) of each line of a UTF-8 file;
+    a line that does not decode raises :class:`GraphFormatError`."""
+    for line_no, raw in enumerate(fh, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(source, line_no, str(exc)) from None
+        yield line_no, line.rstrip("\n\r")
+
+
 def _read_edges(fh: BinaryIO) -> Iterator[Tuple[str, str]]:
     """(src, dst) key pairs of an edges file, one line at a time."""
-    for line_no, raw in enumerate(fh, start=1):
-        line = raw.decode("utf-8").rstrip("\n\r")
+    for line_no, line in text_lines(fh, "edges file"):
         if not line:
             continue
         parts = line.split("\t")
@@ -212,7 +217,7 @@ def load_graph(nodes_source: Source, edges_source: Source) -> CorpusGraph:
             try:
                 obj = json.loads(line)
                 key, text = obj["key"], obj["content"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON or UTF-8
                 raise GraphFormatError("nodes file", line_no, str(exc)) from exc
             if not isinstance(key, str) or not key:
                 raise GraphFormatError("nodes file", line_no, "node key must be a non-empty string")
@@ -314,13 +319,11 @@ def _ppr_vector(
         raise ValueError("seed list is empty")
     n = g.n_nodes
 
+    scores = np.fromiter((score for _, score in seeds), dtype=np.float64, count=len(seeds))
     p0 = np.zeros(n)
-    for key, score in seeds:
-        if key not in g._index:
-            raise UnknownNodeError(key)
-        if score < 0:
-            raise ValueError(f"negative seed score for {key!r}")
-        p0[g._index[key]] += score
+    p0[g.ids(seeds.keys())] = scores
+    if (scores < 0).any():
+        raise ValueError(f"negative seed score for {seeds[int(np.argmax(scores < 0))][0]!r}")
     total = p0.sum()
     if total <= 0:
         raise ValueError("seed scores are all zero")

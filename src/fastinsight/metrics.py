@@ -13,7 +13,7 @@ import math
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import GraphFormatError, UnknownNodeError
-from .graph import CorpusGraph
+from .graph import CorpusGraph, text_lines
 from .ranked import RankedList
 
 RetLike = Union[RankedList, Iterable[str]]
@@ -48,45 +48,44 @@ def seed_path_costs(
     Either way the dict lists nodes in settle order, which is non-decreasing
     in cost, and every cost in it is final. A target's first settled
     neighbor is thus its cheapest; its cost is ``.resolved[t]``.
+
+    The search runs over node ids and reads the CSR in place, so a call
+    costs only the region it settles; ``(cost, id)`` heap entries pop in
+    ``(cost, key)`` order, because ids ascend with keys.
     """
-    weight: Dict[str, float] = {}  # log(1 + degree) of each node touched
+    seeds = set(g.ids(tuple(ret_keys)).tolist())
+    pending = None if targets is None else set(g.ids(tuple(targets)).tolist())
+    out = SettledCosts()
+    out.resolved = {}
+    if pending is not None and not pending:
+        return out
 
-    def node_weight(key: str) -> float:
-        w = weight.get(key)
-        if w is None:
-            w = weight[key] = math.log1p(len(g.neighbors(key)))
-        return w
-
-    best = {seed: node_weight(seed) for seed in set(ret_keys)}
-    heap = [(cost, key) for key, cost in best.items()]
+    ptr, nbrs = memoryview(g.indptr), memoryview(g.indices)
+    best = {i: math.log1p(ptr[i + 1] - ptr[i]) for i in seeds}
+    heap = [(cost, i) for i, cost in best.items()]
     heapq.heapify(heap)
 
-    pending = None if targets is None else set(targets)
-    for t in pending or ():
-        if t not in g:
-            raise UnknownNodeError(t)
-
-    # Plain dicts in the loop: subscripts on a dict subclass are slower.
-    settled: Dict[str, float] = {}
-    resolved: Dict[str, float] = {}
+    settled: Dict[int, float] = {}
+    resolved: Dict[int, float] = {}
     while heap and (pending is None or pending):
         cost, node = heapq.heappop(heap)
         if node in settled:
             continue
         settled[node] = cost
-        for nb in g.neighbors(node):
+        for nb in nbrs[ptr[node]:ptr[node + 1]]:
             # Undirected: node neighbors nb. A settled target (a seed) resolves too.
             if pending and nb in pending:
                 pending.remove(nb)
                 resolved[nb] = cost
             if nb in settled:
                 continue
-            cand = cost + node_weight(nb)
+            cand = cost + math.log1p(ptr[nb + 1] - ptr[nb])
             if nb not in best or cand < best[nb]:
                 best[nb] = cand
                 heapq.heappush(heap, (cand, nb))
-    out = SettledCosts(settled)
-    out.resolved = resolved
+    keys = g.node_keys
+    out.update((keys[i], cost) for i, cost in settled.items())
+    out.resolved.update((keys[i], cost) for i, cost in resolved.items())
     return out
 
 
@@ -105,8 +104,6 @@ def uncertainty(
     ret_set = set(ret_keys)
     if target in ret_set:
         return 0.0
-    if not ret_set:
-        return math.inf
     return seed_path_costs(g, tuple(ret_set), (target,)).resolved.get(target, math.inf)
 
 
@@ -158,8 +155,6 @@ def tr_and_miss_tr(
     for key in oracle:
         if key not in g:
             raise UnknownNodeError(key)
-    if not ret_keys:
-        return 0.0, 0.0
     ret_set = set(ret_keys)
     missed = sorted(oracle - ret_set)
     costs = seed_path_costs(g, ret_keys, targets=missed).resolved
@@ -211,9 +206,8 @@ def marginal_recall_gain(
 def load_qrels(path: str) -> Dict[str, Set[str]]:
     """Read tab-separated (query-id, node-key, relevance) rows; relevance > 0 is gold."""
     qrels: Dict[str, Set[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n\r")
+    with open(path, "rb") as fh:
+        for line_no, line in text_lines(fh, "qrels file"):
             if not line:
                 continue
             parts = line.split("\t")

@@ -22,7 +22,7 @@ from . import metrics as m
 from .embedding import HashEmbedder, RemoteEmbedder, build_index
 from .engine import FastInsightConfig
 from .errors import FastInsightError, GraphFormatError
-from .graph import load_graph
+from .graph import load_graph, text_lines
 from .rerank import HashReranker
 
 METHODS = tuple(engine.METHODS)
@@ -86,15 +86,15 @@ class RunConfig:
 def load_queries(path: str) -> List[Tuple[str, str]]:
     """JSON-lines {"id": ..., "text": ...}, returned sorted by id."""
     out: List[Tuple[str, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for line_no, line in text_lines(fh, "queries file"):
             line = line.strip()
             if not line:
                 continue
             try:
                 obj = json.loads(line)
                 out.append((str(obj["id"]), str(obj["text"])))
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise GraphFormatError("queries file", line_no, str(exc)) from exc
     return sorted(out)
 

@@ -17,6 +17,18 @@ def make_graph(node_keys, edges, contents=None):
     return CorpusGraph(nodes, edges)
 
 
+class CountingReranker(HashReranker):
+    """HashReranker that records every batch sent to extract_latents."""
+
+    def __init__(self, dimension=64):
+        super().__init__(dimension)
+        self.batches = []
+
+    def extract_latents(self, query, contents):
+        self.batches.append((query, list(contents)))
+        return super().extract_latents(query, contents)
+
+
 def child_env(**extra):
     """This process's environment plus ``extra``, for a Python subprocess.
 

@@ -1,4 +1,4 @@
-"""End-to-end acceptance suite: eleven go/no-go checks.
+"""End-to-end acceptance suite: eleven go/no-go checks (criterion 11 in two tests).
 
 Each test computes its verdict, prints a single "criterion NN <name>: PASS|FAIL"
 line, and then asserts. Run with ``pytest tests/test_acceptance.py -s`` to see
@@ -40,7 +40,7 @@ from fastinsight import (
 )
 from fastinsight.runner import load_queries
 
-from conftest import make_graph, random_graph, ranked, run_cli
+from conftest import CountingReranker, make_graph, random_graph, ranked, run_cli
 
 
 def _verdict(num, name, ok, detail=""):
@@ -352,3 +352,23 @@ def test_criterion_11_budget_sweep(tmp_path):
     _verdict(11, "budget-sweep-monotone", tr_ok and qpt_ok,
              f"qpt_ms={[round(v * 1000, 2) for v in qpt_means]}, "
              f"tr={[round(v, 3) for v in tr_means]}")
+
+
+def test_criterion_11_budget_sweep_work(tmp_path):
+    # Criterion 11's "more budget costs more", on work counters that machine
+    # load cannot move: GRanker calls and documents sent to the reranker.
+    ds = synth_bridge(n_clusters=8, cluster_size=150, seed=4, out_dir=str(tmp_path))
+    g = load_graph(ds.nodes, ds.edges)
+    emb = HashEmbedder(256)
+    index = build_index(g, emb)
+    queries = load_queries(ds.queries)
+
+    calls, docs = [], []
+    for budget in range(10, 101, 10):
+        rr = CountingReranker(256)
+        cfg = FastInsightConfig(batch=10, budget=budget)
+        calls.append(sum(fastinsight_retrieve(text, g, index, emb, rr, cfg)[1].granker_calls
+                         for _, text in queries))
+        docs.append(sum(len(contents) for _, contents in rr.batches))
+    ok = all(b > a for a, b in zip(calls, calls[1:])) and all(b > a for a, b in zip(docs, docs[1:]))
+    _verdict(11, "budget-sweep-work-monotone", ok, f"granker_calls={calls}, docs={docs}")

@@ -22,19 +22,7 @@ from fastinsight import (
 
 from fastinsight.engine import METHODS
 
-from conftest import make_graph
-
-
-class CountingReranker(HashReranker):
-    """HashReranker that records every batch sent to extract_latents."""
-
-    def __init__(self, dimension=64):
-        super().__init__(dimension)
-        self.batches = []
-
-    def extract_latents(self, query, contents):
-        self.batches.append((query, list(contents)))
-        return super().extract_latents(query, contents)
+from conftest import CountingReranker, make_graph
 
 
 def _rich_graph(n=120, p=0.05, seed=5):

@@ -186,6 +186,21 @@ class TestCSR:
         with pytest.raises(UnknownNodeError):
             induced(g, sub + ["?"])
 
+    def test_memory_one_adjacency(self):
+        # A 20,000-node ring retains 2.2 MiB, of which the CSR arrays are
+        # 0.61 MiB; a second, per-key adjacency beside the CSR makes it 3.7.
+        n = 20000
+        keys = [f"r{i:05d}" for i in range(n)]
+        nodes = {k: k for k in keys}
+        tracemalloc.start()
+        try:
+            g = CorpusGraph(nodes, ((keys[i], keys[(i + 1) % n]) for i in range(n)))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.degree(keys[0]) == 2
+        assert retained < 3 * 2**20
+
     def test_arrays_read_only(self, path_graph):
         with pytest.raises(ValueError):
             path_graph.indices[0] = 0
@@ -212,6 +227,8 @@ class TestTopology:
     def test_unknown_key(self, path_graph):
         with pytest.raises(UnknownNodeError):
             path_graph.neighbors("zz")
+        with pytest.raises(UnknownNodeError):
+            path_graph.degree("zz")
 
     def test_frontier_path(self, path_graph):
         assert frontier(path_graph, ranked("a")) == ["b"]

@@ -274,14 +274,25 @@ class TestCli:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error:"), proc.stderr
 
-    def test_malformed_edges_file_is_an_error_line(self, dataset, tmp_path):
-        edges = tmp_path / "edges.tsv"
-        edges.write_text("a\tb\tc\n")
-        proc = _run_cli(["run", "--nodes", dataset.nodes, "--edges", str(edges),
-                         "--queries", dataset.queries, "--qrels", dataset.qrels,
+    @pytest.mark.parametrize("which, data, where", [
+        ("edges", b"a\tb\tc\n", "edges file, line 1"),
+        ("edges", b"\n\xff\tb\n", "edges file, line 2"),
+        ("nodes", b"\n\xff\n", "nodes file, line 2"),
+        ("queries", b"\n[1, 2]\n", "queries file, line 2"),
+        ("queries", b"\n\xff\n", "queries file, line 2"),
+        ("qrels", b"\n\xff\tn\t1\n", "qrels file, line 2"),
+    ], ids=["edges-columns", "edges-utf8", "nodes-utf8", "queries-not-object",
+            "queries-utf8", "qrels-utf8"])
+    def test_malformed_file_is_an_error_line(self, dataset, tmp_path, which, data, where):
+        files = {"nodes": dataset.nodes, "edges": dataset.edges,
+                 "queries": dataset.queries, "qrels": dataset.qrels}
+        files[which] = str(tmp_path / which)
+        (tmp_path / which).write_bytes(data)
+        proc = _run_cli(["run", *(a for k, v in files.items() for a in (f"--{k}", v)),
                          "--out", str(tmp_path / "o")], tmp_path)
         assert proc.returncode == 1, proc.stderr
-        assert proc.stderr.startswith("error:") and "edges file, line 1" in proc.stderr, proc.stderr
+        assert proc.stderr.startswith("error:") and where in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
 
     def test_embed_dim_below_hash_floor_fails_before_any_work(self, dataset, tmp_path):
         out = tmp_path / "o"
