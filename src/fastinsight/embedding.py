@@ -12,9 +12,9 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 import requests
 
-from .errors import CacheInvalidError, DimensionMismatchError, EncoderError, UnknownNodeError
+from .errors import CacheInvalidError, DimensionMismatchError, EncoderError
 from .graph import CorpusGraph
-from .ranked import RankedList, key_rows, top_rows
+from .ranked import RankedList, key_rows
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -157,21 +157,13 @@ class EmbeddingIndex:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __contains__(self, key: object) -> bool:
-        return key in self._rows
-
-    def row(self, key: str) -> int:
-        try:
-            return self._rows[key]
-        except KeyError:
-            raise UnknownNodeError(key) from None
-
     def rows(self, keys: Sequence[str]) -> np.ndarray:
-        """The :meth:`row` of each key, in order."""
+        """The matrix row of each key, in order; a key the index lacks
+        raises :class:`UnknownNodeError`."""
         return key_rows(self._rows, keys)
 
     def vector(self, key: str) -> np.ndarray:
-        return self.matrix[self.row(key)]
+        return self.matrix[self.rows((key,))[0]]
 
 
 def content_digest(text: str) -> bytes:
@@ -279,5 +271,4 @@ def vector_search(v_q: np.ndarray, index: EmbeddingIndex, k: int) -> RankedList:
             f"query dimension {v_q.shape} != index dimension ({index.dimension},)"
         )
     scores = index.matrix @ v_q
-    rows = top_rows(scores, k)  # rows are in ascending key order
-    return RankedList(zip([index.keys[i] for i in rows.tolist()], scores[rows].tolist()))
+    return RankedList.top(index.keys, np.arange(len(scores)), scores, k)

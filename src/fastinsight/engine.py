@@ -68,10 +68,6 @@ class RetrievalTrace:
             self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + time.perf_counter() - t0
 
 
-def _head(ret: RankedList, k: int) -> RankedList:
-    return ret if len(ret) <= k else RankedList(ret.items()[:k])
-
-
 def _seed(q: str, index: EmbeddingIndex, emb: Embedder, k: int,
           k_report: int) -> Tuple[RankedList, RetrievalTrace]:
     """Start a method's trace: embed ``q`` and vector-search it once; return
@@ -82,8 +78,8 @@ def _seed(q: str, index: EmbeddingIndex, emb: Embedder, k: int,
         trace.query_vector = emb.encode_query(q)
     with trace.stage("vs"):
         top = vector_search(trace.query_vector, index, max(k, k_report))
-        trace.vs_top = _head(top, k_report)
-        ret = _head(top, k)
+        trace.vs_top = top.head(k_report)
+        ret = top.head(k)
     trace.vs_calls += 1
     return ret, trace
 
@@ -122,7 +118,8 @@ def fastinsight_retrieve(
         trace.stex_calls += 1
         if len(additions) == 0:
             break
-        ret = ret.extend(additions.items())
+        ret = RankedList.of(ret.names, np.concatenate([ret.ids, additions.ids]),
+                            np.concatenate([ret.scores, additions.scores]))
     return ret, trace
 
 

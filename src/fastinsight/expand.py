@@ -35,9 +35,9 @@ def _score(
     g: CorpusGraph,
     ret: RankedList,
     beta: float,
-) -> Tuple[Frontier, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[Frontier, np.ndarray, np.ndarray, np.ndarray]:
     """The frontier of ``ret`` with each candidate's i_struct, i_sim and
-    total, plus the positions that order them by (total desc, key asc)."""
+    total."""
     if len(ret) == 0:
         raise ValueError("ranked list is empty")
     if not (beta >= 0 and math.isfinite(beta)):
@@ -52,9 +52,7 @@ def _score(
     c_max = np.minimum(g.degrees[cand.ids], r_max)
     i_struct += (cand.adjacent - 1) / np.maximum(c_max - 1, 1)
     i_sim = index.matrix[index.rows(cand)] @ v_q
-    total = i_sim + beta * i_struct
-    # Candidates ascend by key, so a stable sort breaks ties by key.
-    return cand, i_struct, i_sim, total, (-total).argsort(kind="stable")
+    return cand, i_struct, i_sim, i_sim + beta * i_struct
 
 
 def stex_scores(
@@ -76,10 +74,12 @@ def stex_scores(
       - i_sim = v_q . v_n (raw dot product, no rescaling);
       - total = i_sim + beta * i_struct, with beta finite and non-negative.
     """
-    cand, i_struct, i_sim, total, order = _score(v_q, index, g, ret, beta)
-    keys = [cand[i] for i in order.tolist()]
+    cand, i_struct, i_sim, total = _score(v_q, index, g, ret, beta)
+    # Candidates ascend by id, so a binary search finds each ranked one.
+    order = np.searchsorted(cand.ids, RankedList.top(g.node_keys, cand.ids, total).ids)
     return [StexScore(*row) for row in zip(
-        keys, i_struct[order].tolist(), i_sim[order].tolist(), total[order].tolist())]
+        [cand[i] for i in order.tolist()], i_struct[order].tolist(), i_sim[order].tolist(),
+        total[order].tolist())]
 
 
 def stex(
@@ -93,6 +93,5 @@ def stex(
     """Rank the one-hop frontier of ``ret`` by the totals of
     :func:`stex_scores`, optionally truncated to the best ``k``; an empty
     frontier yields an empty list."""
-    cand, _, _, total, order = _score(v_q, index, g, ret, beta)
-    order = order[:k]
-    return RankedList(zip([cand[i] for i in order.tolist()], total[order].tolist()))
+    cand, _, _, total = _score(v_q, index, g, ret, beta)
+    return RankedList.top(g.node_keys, cand.ids, total, k)

@@ -26,7 +26,7 @@ from .errors import (
     GraphValidationError,
     UnknownNodeError,
 )
-from .ranked import RankedList, key_rows, top_rows
+from .ranked import RankedList, key_rows
 
 logger = logging.getLogger(__name__)
 
@@ -148,6 +148,13 @@ class CorpusGraph:
         """Node id of each key, in order."""
         return key_rows(self._index, keys)
 
+    def own(self, ret: RankedList) -> RankedList:
+        """``ret`` over ``node_keys``: itself if it is, else converted once by
+        key; a key the graph lacks raises :class:`UnknownNodeError`."""
+        if ret.names is self._keys:
+            return ret
+        return RankedList.of(self._keys, self.ids(ret.keys()), ret.scores)
+
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     """``np.unique`` of a 1-d int array by sort and mask; numpy 2.x's
@@ -179,11 +186,11 @@ def _open_source(source: Source) -> Iterator[BinaryIO]:
 
 
 def text_lines(fh: BinaryIO, source: str) -> Iterator[Tuple[int, str]]:
-    """(line number, text without its line end) of each line of a UTF-8 file;
-    a line that does not decode raises :class:`GraphFormatError`."""
+    """(line number, text without its line end or a leading BOM) of each line
+    of a UTF-8 file; a line that does not decode raises :class:`GraphFormatError`."""
     for line_no, raw in enumerate(fh, start=1):
         try:
-            line = raw.decode("utf-8")
+            line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8")
         except UnicodeDecodeError as exc:
             raise GraphFormatError(source, line_no, str(exc)) from None
         yield line_no, line.rstrip("\n\r")
@@ -273,7 +280,7 @@ def frontier(g: CorpusGraph, ret: RankedList) -> Frontier:
     in rank order, entries pointing back into the set are dropped, and the
     rest are counted per candidate. Returned ascending by key.
     """
-    own = g.ids(ret.keys())
+    own = g.own(ret).ids
     nbr, owner = _gather(g, own)
     outside = np.ones(g.n_nodes, dtype=bool)
     outside[own] = False
@@ -290,11 +297,10 @@ def frontier(g: CorpusGraph, ret: RankedList) -> Frontier:
     return out
 
 
-def induced(g: CorpusGraph, keys: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
-    """0/1 adjacency of the subgraph induced by the distinct ``keys``, rows
-    and columns in the order of ``keys``, and each key's full-graph degree
-    with zero replaced by 1, as float64. One gather over the CSR."""
-    own = g.ids(keys)
+def induced(g: CorpusGraph, own: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """0/1 adjacency of the subgraph induced by the distinct node ids ``own``,
+    rows and columns in that order, and each node's full-graph degree with
+    zero replaced by 1, as float64. One gather over the CSR."""
     nbr, owner = _gather(g, own)
     col = np.full(g.n_nodes, -1)
     col[own] = np.arange(len(own))
@@ -319,11 +325,12 @@ def _ppr_vector(
         raise ValueError("seed list is empty")
     n = g.n_nodes
 
-    scores = np.fromiter((score for _, score in seeds), dtype=np.float64, count=len(seeds))
+    seeds = g.own(seeds)
+    scores = seeds.scores
     p0 = np.zeros(n)
-    p0[g.ids(seeds.keys())] = scores
+    p0[seeds.ids] = scores
     if (scores < 0).any():
-        raise ValueError(f"negative seed score for {seeds[int(np.argmax(scores < 0))][0]!r}")
+        raise ValueError(f"negative seed score for {seeds.keys()[int(np.argmax(scores < 0))]!r}")
     total = p0.sum()
     if total <= 0:
         raise ValueError("seed scores are all zero")
@@ -384,8 +391,6 @@ def personalized_pagerank(
     score, ties broken by ascending key."""
     p = _ppr_vector(g, seeds, restart, tol, max_iter)
     keep = np.ones(len(p), dtype=bool)
-    keep[g.ids(seeds.keys())] = False
+    keep[g.own(seeds).ids] = False
     ids = np.flatnonzero(keep)
-    ids = ids[top_rows(p[ids], k)]
-    keys = g.node_keys
-    return RankedList(zip([keys[i] for i in ids.tolist()], p[ids].tolist()))
+    return RankedList.top(g.node_keys, ids, p[ids], k)

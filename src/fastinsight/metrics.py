@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .errors import GraphFormatError, UnknownNodeError
 from .graph import CorpusGraph, text_lines
@@ -34,10 +34,11 @@ class SettledCosts(dict):
 
 def seed_path_costs(
     g: CorpusGraph,
-    ret_keys: Sequence[str],
+    ret: RetLike,
     targets: Optional[Iterable[str]] = None,
 ) -> SettledCosts:
-    """Multi-source node-weighted shortest-path costs from the retrieved set.
+    """Multi-source node-weighted shortest-path costs from the retrieved set
+    ``ret``: a :class:`RankedList`, whose node ids are the seeds, or keys.
 
     The cost of reaching node v is the sum of log(1 + degree) over every node
     on the path including the seed and v itself.
@@ -53,7 +54,8 @@ def seed_path_costs(
     costs only the region it settles; ``(cost, id)`` heap entries pop in
     ``(cost, key)`` order, because ids ascend with keys.
     """
-    seeds = set(g.ids(tuple(ret_keys)).tolist())
+    seed_ids = g.own(ret).ids if isinstance(ret, RankedList) else g.ids(tuple(ret))
+    seeds = set(seed_ids.tolist())
     pending = None if targets is None else set(g.ids(tuple(targets)).tolist())
     out = SettledCosts()
     out.resolved = {}
@@ -151,13 +153,14 @@ def tr_and_miss_tr(
     """
     if not oracle:
         raise ValueError("oracle set is empty")
-    ret_keys = tuple(sorted(set(_ret_keys(ret))))
+    if not isinstance(ret, RankedList):
+        ret = tuple(ret)
+    ret_set = set(_ret_keys(ret))
     for key in oracle:
         if key not in g:
             raise UnknownNodeError(key)
-    ret_set = set(ret_keys)
     missed = sorted(oracle - ret_set)
-    costs = seed_path_costs(g, ret_keys, targets=missed).resolved
+    costs = seed_path_costs(g, ret, targets=missed).resolved
 
     def credit_sum(keys: List[str]) -> float:
         total = 0.0

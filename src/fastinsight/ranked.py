@@ -1,8 +1,8 @@
-"""Ranked retrieval state: an ordered (key, score) list with O(1) rank lookup."""
+"""Ranked retrieval state: node ids over a key table, with a score each."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -10,72 +10,88 @@ from .errors import UnknownNodeError
 
 
 class RankedList:
-    """Immutable ordered sequence of (node-key, score) pairs.
+    """Immutable ordered list of unique nodes: entry ``i`` (rank ``i + 1``) is
+    node ``ids[i]`` of the key table ``names``, with score ``scores[i]``.
+    Results are over a graph's ``node_keys`` or an index's ``keys``, both
+    ascending; a list built from pairs is its own table. Keys are resolved
+    once, on the first call to :meth:`keys`."""
 
-    Ranks are 1-based: the first entry has rank 1. Keys must be unique.
-    """
-
-    __slots__ = ("_items", "_keys", "_rank")
+    __slots__ = ("names", "ids", "scores", "_keys")
 
     def __init__(self, items: Iterable[Tuple[str, float]]):
-        pairs = tuple((str(k), float(s)) for k, s in items)
-        rank = {}
-        for i, (key, _) in enumerate(pairs):
-            if key in rank:
+        """A list of ``(key, score)`` pairs, in order; its keys are its own table."""
+        table: Dict[str, float] = {}
+        for key, score in items:
+            key = str(key)
+            if key in table:
                 raise ValueError(f"duplicate key in ranked list: {key!r}")
-            rank[key] = i + 1
-        self._items = pairs
-        self._keys = tuple(rank)
-        self._rank = rank
+            table[key] = float(score)
+        self.names = self._keys = tuple(table)
+        self.ids = np.arange(len(table))
+        self.scores = np.fromiter(table.values(), dtype=np.float64, count=len(table))
 
-    @staticmethod
-    def from_scores(pairs: Iterable[Tuple[str, float]], k: int | None = None) -> "RankedList":
-        """Order pairs by (score descending, key ascending), optionally truncated to k."""
-        ordered = sorted(pairs, key=lambda p: (-p[1], p[0]))
-        if k is not None:
-            ordered = ordered[:k]
-        return RankedList(ordered)
+    @classmethod
+    def top(cls, names: Sequence[str], ids: np.ndarray, scores: np.ndarray,
+            k: Optional[int] = None) -> "RankedList":
+        """The best ``k`` of nodes ``ids`` (all by default) by the one rule for
+        ranked results, (score descending, id ascending): over an ascending
+        table, (score descending, key ascending)."""
+        n = len(ids)
+        k = n if k is None else max(min(k, n), 0)
+        at = np.arange(n)
+        if 0 < k < n:  # every entry that ties the k-th best score, then the exact order
+            at = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+        at = at[np.lexsort((ids[at], -scores[at]))][:k]
+        return cls.of(names, ids[at], scores[at])
+
+    @classmethod
+    def of(cls, names: Sequence[str], ids: np.ndarray, scores: np.ndarray) -> "RankedList":
+        """Nodes ``ids`` of the table ``names``, in that order, with ``scores``;
+        the ids must be distinct."""
+        out = cls.__new__(cls)
+        out.names, out.ids, out.scores, out._keys = names, ids, scores, None
+        return out
 
     def keys(self) -> Tuple[str, ...]:
+        if self._keys is None:
+            self._keys = tuple(map(self.names.__getitem__, self.ids.tolist()))
         return self._keys
 
     def items(self) -> Tuple[Tuple[str, float], ...]:
-        return self._items
+        return tuple(zip(self.keys(), self.scores.tolist()))
 
     def rank(self, key: str) -> int:
-        return self._rank[key]
+        return self.keys().index(key) + 1
 
     def score(self, key: str) -> float:
-        return self._items[self._rank[key] - 1][1]
+        return float(self.scores[self.keys().index(key)])
+
+    def head(self, k: int) -> "RankedList":
+        """The first ``k`` entries."""
+        return self if len(self) <= k else RankedList.of(self.names, self.ids[:k], self.scores[:k])
 
     def extend(self, items: Iterable[Tuple[str, float]]) -> "RankedList":
         """New list with items appended at the tail, preserving order."""
-        return RankedList(self._items + tuple(items))
+        return RankedList(self.items() + tuple(items))
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.ids)
 
     def __contains__(self, key: object) -> bool:
-        return key in self._rank
+        return key in self.keys()
 
     def __iter__(self) -> Iterator[Tuple[str, float]]:
-        return iter(self._items)
-
-    def __getitem__(self, i: int) -> Tuple[str, float]:
-        return self._items[i]
+        return iter(self.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RankedList):
             return NotImplemented
-        return self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
+        return self.items() == other.items()
 
     def __repr__(self) -> str:
-        head = ", ".join(f"{k}:{s:.4g}" for k, s in self._items[:5])
-        tail = ", ..." if len(self._items) > 5 else ""
-        return f"RankedList([{head}{tail}], n={len(self._items)})"
+        head = ", ".join(f"{k}:{s:.4g}" for k, s in self.head(5).items())
+        tail = ", ..." if len(self) > 5 else ""
+        return f"RankedList([{head}{tail}], n={len(self)})"
 
 
 def key_rows(row_of: Mapping[str, int], keys: Sequence[str]) -> np.ndarray:
@@ -86,16 +102,3 @@ def key_rows(row_of: Mapping[str, int], keys: Sequence[str]) -> np.ndarray:
     except KeyError as exc:
         raise UnknownNodeError(exc.args[0]) from None
 
-
-def top_rows(scores: np.ndarray, k: int) -> np.ndarray:
-    """Rows of the best ``k`` scores, ordered by (score descending, row
-    ascending): the order of :meth:`RankedList.from_scores` when rows are in
-    ascending key order. Returns every row, ranked, when k exceeds their
-    number, and none when k < 1."""
-    n = len(scores)
-    k = min(k, n)
-    if k < 1:
-        return np.zeros(0, dtype=np.intp)
-    # Every row that ties the k-th best score, then the exact order.
-    rows = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
-    return rows[np.lexsort((rows, -scores[rows]))][:k]

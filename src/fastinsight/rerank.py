@@ -167,7 +167,7 @@ class PropagationMatrix:
 
 class GRankerState:
     """Latent rows :func:`granker` has already extracted for one query,
-    reused by its later calls.
+    reused by its later calls, keyed by node id.
 
     Rows are kept in insertion order and gathered in the current rank order,
     so a call only extracts the documents that are new to the list. One
@@ -176,18 +176,20 @@ class GRankerState:
     """
 
     def __init__(self) -> None:
-        self._latent_row: Dict[str, int] = {}
+        self._latent_row: Dict[int, int] = {}
         self._latents: Optional[LatentBatch] = None
 
-    def latents(self, q: str, keys: Sequence[str], g: CorpusGraph, rr: Reranker) -> LatentBatch:
-        """Latent rows of ``keys`` in that order; only unseen keys reach the reranker."""
-        new = [k for k in keys if k not in self._latent_row]
+    def latents(self, q: str, ids: np.ndarray, g: CorpusGraph, rr: Reranker) -> LatentBatch:
+        """Latent rows of node ``ids`` in that order; only unseen nodes reach the reranker."""
+        ids = ids.tolist()
+        new = [i for i in ids if i not in self._latent_row]
         if new:
-            rows = _extract(q, new, [g.content(k) for k in new], rr)
+            keys = [g.node_keys[i] for i in new]
+            rows = _extract(q, keys, [g.content(k) for k in keys], rr)
             self._latents = rows if self._latents is None else np.concatenate([self._latents, rows])
-            for k in new:
-                self._latent_row[k] = len(self._latent_row)
-        return self._latents[key_rows(self._latent_row, keys)]
+            for i in new:
+                self._latent_row[i] = len(self._latent_row)
+        return self._latents[key_rows(self._latent_row, ids)]
 
 
 def build_propagation(ret: RankedList, g: CorpusGraph) -> PropagationMatrix:
@@ -200,7 +202,7 @@ def build_propagation(ret: RankedList, g: CorpusGraph) -> PropagationMatrix:
     full-graph degree; P row-normalizes W. Rows with no neighbor are flagged
     isolated and left all-zero.
     """
-    a, deg = induced(g, ret.keys())
+    a, deg = induced(g, g.own(ret).ids)
     w = a / deg[np.newaxis, :]
     row_sums = w.sum(axis=1)
     isolated = frozenset(int(i) for i in np.flatnonzero(row_sums == 0.0))
@@ -224,7 +226,7 @@ def fuse_latents(h: LatentBatch, p: PropagationMatrix, alpha: float) -> LatentBa
         raise ValueError(f"shape mismatch: H {h.shape}, P {p.matrix.shape}")
     fused = (1.0 - alpha) * h + alpha * (p.matrix @ h)
     if p.isolated_rows:
-        idx = sorted(p.isolated_rows)
+        idx = list(p.isolated_rows)
         fused[idx] = h[idx]
     return fused
 
@@ -249,10 +251,10 @@ def rerank_pool(q: str, ret: RankedList, g: CorpusGraph, rr: Reranker,
     and is clamped to it."""
     if len(ret) == 0:
         raise ValueError("ranked list is empty")
+    ret = g.own(ret)
     keys = ret.keys()
     scores = rr.head_scores(_extract(q, keys, [g.content(key) for key in keys], rr))
-    k = len(ret) if k is None else min(k, len(ret))
-    return RankedList.from_scores(zip(keys, scores.tolist()), k=k)
+    return RankedList.top(g.node_keys, ret.ids, scores, k)
 
 
 def granker(q: str, ret: RankedList, g: CorpusGraph, alpha: float, rr: Reranker,
@@ -269,8 +271,8 @@ def granker(q: str, ret: RankedList, g: CorpusGraph, alpha: float, rr: Reranker,
         raise ValueError("ranked list is empty")
     if state is None:
         state = GRankerState()
-    h = state.latents(q, ret.keys(), g, rr)
+    ret = g.own(ret)
+    h = state.latents(q, ret.ids, g, rr)
     p = build_propagation(ret, g)
     fused = fuse_latents(h, p, alpha)
-    scores = rr.head_scores(fused)
-    return RankedList.from_scores(zip(ret.keys(), scores.tolist()))
+    return RankedList.top(g.node_keys, ret.ids, rr.head_scores(fused))

@@ -3,6 +3,9 @@ wraps (``perfbench/spans.py``). A target that stops being called drops its
 per-layer metrics from the benchmark's result without failing the run."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from fastinsight import (
@@ -18,7 +21,8 @@ from fastinsight import (
 
 from conftest import make_graph
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans():
@@ -90,3 +94,16 @@ def test_path_search_span_kept_when_all_gold_retrieved():
         patches.remove()
     assert missing == set()
     assert [s.count for s in rec.spans if s.name == "metrics.seed_path_costs"] == [0]
+
+
+def test_ppr_workload_smoke_run():
+    # The ppr workload drives the package through the benchmark's own path
+    # (vector_search, personalized_pagerank, extend(items())), which the
+    # tests above do not cover. One untimed pass; output goes to the
+    # ignored perfbench/_out/.
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "ppr", "--seed", "1",
+                           "--seconds", "0", "--trace", "0"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

@@ -179,12 +179,12 @@ class TestCSR:
         keys, edges = case
         g = make_graph(keys, edges)
         sub = data.draw(st.lists(st.sampled_from(keys), unique=True))
-        a, deg = induced(g, sub)
+        a, deg = induced(g, g.ids(sub))
         want_a, want_deg = _induced_reference(g, sub)
         assert a.dtype == deg.dtype == np.float64
         assert np.array_equal(a, want_a) and np.array_equal(deg, want_deg)
         with pytest.raises(UnknownNodeError):
-            induced(g, sub + ["?"])
+            induced(g, g.ids(sub + ["?"]))
 
     def test_memory_one_adjacency(self):
         # A 20,000-node ring retains 2.2 MiB, of which the CSR arrays are

@@ -96,6 +96,39 @@ class TestRerankPlain:
             rerank_pool("q", ranked("alpha"), g, Bad())
 
 
+class TestTieOrder:
+    # Duplicated contents make scores tie; whatever the input order, the
+    # output is ordered by (score descending, key ascending).
+    Q = "shared text"
+
+    def _case(self):
+        keys = [f"k{i:02d}" for i in range(12)]
+        g = make_graph(keys, [("k00", "k01"), ("k02", "k03"), ("k07", "k04")],
+                       contents={k: f"shared text {i % 3}" for i, k in enumerate(keys)})
+        random.Random(3).shuffle(keys)
+        assert keys != sorted(keys)
+        return g, ranked(*keys)
+
+    @staticmethod
+    def _reference(ret, scores, k=None):
+        assert len(set(scores.tolist())) < len(ret)  # some scores tie
+        return tuple(sorted(zip(ret.keys(), scores.tolist()), key=lambda p: (-p[1], p[0]))[:k])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+    def test_granker(self, reranker, alpha):
+        g, ret = self._case()
+        h = reranker.extract_latents(self.Q, [g.content(k) for k in ret.keys()])
+        scores = reranker.head_scores(fuse_latents(h, build_propagation(ret, g), alpha))
+        got = granker(self.Q, ret, g, alpha, reranker)
+        assert got.items() == self._reference(ret, scores)
+
+    @pytest.mark.parametrize("k", [None, 5])
+    def test_rerank_pool(self, reranker, k):
+        g, ret = self._case()
+        scores = reranker.head_scores(reranker.extract_latents(self.Q, [g.content(k) for k in ret.keys()]))
+        assert rerank_pool(self.Q, ret, g, reranker, k=k).items() == self._reference(ret, scores, k)
+
+
 class TestPropagation:
     def test_two_node_edge(self):
         g = make_graph(["a", "b"], [("a", "b")])

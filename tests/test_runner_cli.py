@@ -294,6 +294,21 @@ class TestCli:
         assert proc.stderr.startswith("error:") and where in proc.stderr, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
 
+    @pytest.mark.parametrize("which", ["nodes", "edges", "queries", "qrels"])
+    def test_byte_order_mark_is_ignored(self, dataset, tmp_path, which):
+        def load(files):
+            g = load_graph(files["nodes"], files["edges"])
+            return ([(k, g.content(k)) for k in g.node_keys], g.indptr.tolist(), g.indices.tolist(),
+                    load_queries(files["queries"]), load_qrels(files["qrels"]))
+
+        files = {"nodes": dataset.nodes, "edges": dataset.edges,
+                 "queries": dataset.queries, "qrels": dataset.qrels}
+        want = load(files)
+        with open(files[which], "rb") as fh:
+            (tmp_path / which).write_bytes(b"\xef\xbb\xbf" + fh.read())
+        files[which] = str(tmp_path / which)
+        assert load(files) == want
+
     def test_embed_dim_below_hash_floor_fails_before_any_work(self, dataset, tmp_path):
         out = tmp_path / "o"
         proc = _run_cli(["run", "--nodes", dataset.nodes, "--edges", dataset.edges,
