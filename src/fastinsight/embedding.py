@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import os
 import re
 import struct
 import threading
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+import urllib.parse
+import urllib.request
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
-import requests
 
-from .errors import CacheInvalidError, DimensionMismatchError, EncoderError
+from .errors import CacheInvalidError, DimensionMismatchError, EncoderError, RemoteEndpointError
 from .graph import CorpusGraph
 from .ranked import RankedList, key_rows
 
@@ -84,11 +87,86 @@ class HashEmbedder:
         return [self.encode_node(t) for t in texts]
 
 
+_JSON_HEADERS = {"Content-Type": "application/json"}
+
+
+class JsonClient:
+    """POSTs JSON to one ``http``/``https`` URL and returns the decoded reply.
+
+    Each thread keeps one connection, which HTTP/1.1 servers keep alive and
+    which closes when its thread ends or the client is dropped;
+    ``http.client`` reconnects by itself after a reply that closes it. A
+    request is sent again, once, on a new connection only when the reused
+    idle connection it went out on had been dropped by the server; never
+    after a fresh connect and never on an error status. The endpoint
+    contracts are pure functions of the body, so that resend is safe.
+
+    An error status (>= 400) or a reply that is not HTTP raises
+    :class:`RemoteEndpointError`; connection failures raise ``OSError``.
+    Proxy settings (``http_proxy``, ``https_proxy``, ``no_proxy``) are read
+    once, here.
+    """
+
+    def __init__(self, url: str, timeout: float):
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"endpoint URL must be http(s)://host/...: {url!r}")
+        self.url = url
+        self.timeout = timeout
+        self._conn_class = (http.client.HTTPSConnection if parts.scheme == "https"
+                            else http.client.HTTPConnection)
+        self._address = (parts.hostname, parts.port)
+        self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        self._tunnel = None
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if proxy and not urllib.request.proxy_bypass(parts.hostname):
+            proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            self._address = (proxy_parts.hostname, proxy_parts.port or 80)
+            if parts.scheme == "https":
+                self._tunnel = (parts.hostname, parts.port)
+            else:  # a plain-HTTP proxy takes the absolute URL as the target
+                self._target = urllib.parse.urlunsplit(parts._replace(fragment=""))
+        self._local = threading.local()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._conn_class(*self._address, timeout=self.timeout)
+            if self._tunnel is not None:
+                conn.set_tunnel(*self._tunnel)
+            self._local.conn = conn
+        return conn
+
+    def post(self, payload: Any) -> Any:
+        body = json.dumps(payload).encode()
+        conn = self._connection()
+        resend = conn.sock is not None  # only a reused idle connection may be stale
+        while True:
+            try:
+                conn.request("POST", self._target, body, _JSON_HEADERS)
+                resp = conn.getresponse()
+                data = resp.read()
+                break
+            # OSError first: RemoteDisconnected is also an HTTPException.
+            except OSError as exc:
+                conn.close()
+                if not (resend and isinstance(exc, (ConnectionResetError, BrokenPipeError))):
+                    raise
+                resend = False
+            except http.client.HTTPException as exc:
+                conn.close()
+                raise RemoteEndpointError(self.url, None, f"not an HTTP reply: {exc!r}") from exc
+        if resp.status >= 400:
+            raise RemoteEndpointError(self.url, resp.status, f"HTTP {resp.status} {resp.reason}")
+        return json.loads(data)
+
+
 class RemoteEmbedder:
     """Embedder backed by an HTTP endpoint.
 
     POSTs {"texts": [...]} and expects {"vectors": [[...], ...]} back, one
-    vector per text. :meth:`encode_nodes` sends all its texts in one request.
+    vector per text. :meth:`encode_nodes` sends all its texts in one request,
+    through a :class:`JsonClient`.
     """
 
     def __init__(self, url: str, dimension: int, batch_size: int = 32, timeout: float = 30.0):
@@ -97,13 +175,11 @@ class RemoteEmbedder:
         self.url = url
         self.dimension = dimension
         self.batch_size = batch_size
-        self.timeout = timeout
+        self._http = JsonClient(url, timeout)
         self._lock = threading.Lock()
 
     def _encode_batch(self, texts: Sequence[str]) -> List[np.ndarray]:
-        resp = requests.post(self.url, json={"texts": list(texts)}, timeout=self.timeout)
-        resp.raise_for_status()
-        vectors = resp.json()["vectors"]
+        vectors = self._http.post({"texts": list(texts)})["vectors"]
         if len(vectors) != len(texts):
             raise DimensionMismatchError(
                 f"remote embedder returned {len(vectors)} vectors for {len(texts)} texts"
@@ -172,16 +248,26 @@ def content_digest(text: str) -> bytes:
 
 
 def write_cache(path: str, records: CacheRecords, dimension: int) -> None:
-    """Persist encoder vectors, each with its content digest, as ``<f8``."""
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<IIQ", CACHE_VERSION, dimension, len(records)))
-        for key, (digest, vector) in records.items():
-            kb = key.encode("utf-8")
-            fh.write(struct.pack("<I", len(kb)))
-            fh.write(kb)
-            fh.write(digest)
-            fh.write(np.asarray(vector, dtype="<f8").tobytes())
+    """Persist encoder vectors, each with its content digest, as ``<f8``.
+
+    The cache is written to ``path + ".tmp"`` and then renamed over ``path``,
+    so a write cut short leaves the previous cache as it was.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CACHE_MAGIC)
+            fh.write(struct.pack("<IIQ", CACHE_VERSION, dimension, len(records)))
+            for key, (digest, vector) in records.items():
+                kb = key.encode("utf-8")
+                fh.write(struct.pack("<I", len(kb)))
+                fh.write(kb)
+                fh.write(digest)
+                fh.write(np.asarray(vector, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_cache(path: str) -> Tuple[CacheRecords, int]:

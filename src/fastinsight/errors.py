@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from typing import Optional
+
 
 class FastInsightError(Exception):
     """Base class for all package-specific errors."""
@@ -51,6 +53,16 @@ class EncoderError(FastInsightError):
     def __init__(self, key: str, cause: str):
         super().__init__(f"encoder failed for node {key!r}: {cause}")
         self.key = key
+
+
+class RemoteEndpointError(FastInsightError):
+    """A model endpoint answered with an HTTP error status or with a reply
+    that is not HTTP; ``status`` is None for the latter."""
+
+    def __init__(self, url: str, status: Optional[int], detail: str):
+        super().__init__(f"{url}: {detail}")
+        self.url = url
+        self.status = status
 
 
 class RerankerError(FastInsightError):

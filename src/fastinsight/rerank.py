@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
-import requests
 
-from .embedding import hash_embed
+from .embedding import JsonClient, hash_embed
 from .errors import RerankerError
 from .graph import CorpusGraph, induced
 from .ranked import RankedList, key_rows
@@ -124,24 +123,21 @@ class RemoteReranker(Reranker):
     """Reranker whose latents come from an HTTP endpoint.
 
     POSTs {"query": ..., "documents": [...], "return_latents": true} and
-    expects {"latents": [[...], ...]}. Scoring applies a locally loaded
-    :class:`AffineHead`.
+    expects {"latents": [[...], ...]}, through a :class:`JsonClient`.
+    Scoring applies a locally loaded :class:`AffineHead`.
     """
 
     def __init__(self, url: str, latent_dim: int, head: AffineHead, timeout: float = 60.0):
         self.url = url
         self.latent_dim = latent_dim
         self.head = head
-        self.timeout = timeout
+        self._http = JsonClient(url, timeout)
 
     def extract_latents(self, query: str, contents: Sequence[str]) -> LatentBatch:
-        resp = requests.post(
-            self.url,
-            json={"query": query, "documents": list(contents), "return_latents": True},
-            timeout=self.timeout,
+        reply = self._http.post(
+            {"query": query, "documents": list(contents), "return_latents": True}
         )
-        resp.raise_for_status()
-        latents = np.asarray(resp.json()["latents"], dtype=np.float64)
+        latents = np.asarray(reply["latents"], dtype=np.float64)
         if latents.shape != (len(contents), self.latent_dim):
             raise ValueError(
                 f"remote reranker returned shape {latents.shape}, "

@@ -1,3 +1,4 @@
+import os
 import random
 import struct
 
@@ -90,6 +91,17 @@ class TestBuildIndex:
         for k, (digest, vector) in got.items():
             assert digest == records[k][0]
             assert np.array_equal(vector, records[k][1])
+
+    def test_failed_write_keeps_previous_cache(self, tmp_path):
+        cache = tmp_path / "vectors.bin"
+        build_index(make_graph(["a", "b"], []), HashEmbedder(32), cache_path=str(cache))
+        before = cache.read_bytes()
+        records = {"a": (content_digest("a"), np.zeros(32)),
+                   "b": (content_digest("b"), "not a vector")}
+        with pytest.raises(ValueError):
+            write_cache(str(cache), records, 32)
+        assert cache.read_bytes() == before
+        assert os.listdir(tmp_path) == ["vectors.bin"]
 
     def test_cached_index_equals_fresh(self, tmp_path):
         keys = [f"n{i:03d}" for i in range(60)]

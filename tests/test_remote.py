@@ -1,6 +1,10 @@
 """In-process HTTP servers exercising the remote embedder / reranker contracts."""
 
 import json
+import socket
+import socketserver
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -17,9 +21,11 @@ from fastinsight import (
     hash_embed,
     rerank_pool,
 )
-from fastinsight.errors import DimensionMismatchError, EncoderError
+from fastinsight.cli import main as cli_main
+from fastinsight.errors import DimensionMismatchError, EncoderError, RemoteEndpointError
+from fastinsight.synth import synth_bridge
 
-from conftest import make_graph, ranked
+from conftest import child_env, make_graph, ranked
 
 DIM = 32
 
@@ -72,6 +78,7 @@ def server():
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_address[1]}"
     httpd.shutdown()
+    httpd.server_close()
 
 
 class TestRemoteEmbedder:
@@ -135,10 +142,16 @@ class TestRemoteEmbedder:
         assert len(overlaps) == 60 and not any(overlaps)
 
     def test_http_error_propagates(self, server):
-        import requests
         emb = RemoteEmbedder(f"{server}/missing", DIM)
-        with pytest.raises(requests.HTTPError):
+        with pytest.raises(RemoteEndpointError) as info:
             emb.encode_query("x")
+        assert info.value.status == 404
+        assert info.value.url == f"{server}/missing"
+
+    @pytest.mark.parametrize("url", ["ftp://127.0.0.1/embed", "127.0.0.1:8000/embed", "http:///embed"])
+    def test_non_http_url_rejected(self, url):
+        with pytest.raises(ValueError, match="http"):
+            RemoteEmbedder(url, DIM)
 
 
 def _keys(n):
@@ -179,16 +192,18 @@ class TestRemoteBuildIndex:
         assert info.value.key == "n032"
 
 
-class TestRemoteReranker:
-    def _head(self, tmp_path):
-        path = tmp_path / "head.json"
-        rr = HashReranker(DIM)
-        path.write_text(json.dumps({"weights": [rr.head_weights.tolist()],
-                                    "bias": [0.0]}))
-        return AffineHead.from_file(str(path))
+def _head(tmp_path):
+    """HashReranker's head, loaded from a JSON file as a remote head is."""
+    path = tmp_path / "head.json"
+    rr = HashReranker(DIM)
+    path.write_text(json.dumps({"weights": [rr.head_weights.tolist()],
+                                "bias": [0.0]}))
+    return AffineHead.from_file(str(path))
 
+
+class TestRemoteReranker:
     def test_matches_local_reranker(self, server, tmp_path):
-        remote = RemoteReranker(f"{server}/rerank", DIM, self._head(tmp_path))
+        remote = RemoteReranker(f"{server}/rerank", DIM, _head(tmp_path))
         local = HashReranker(DIM)
         q = "query about widgets"
         docs = ["widgets are great", "sprockets instead", "more widgets here"]
@@ -197,7 +212,7 @@ class TestRemoteReranker:
         assert np.allclose(got, want)
 
     def test_rerank_plain_over_remote(self, server, tmp_path):
-        remote = RemoteReranker(f"{server}/rerank", DIM, self._head(tmp_path))
+        remote = RemoteReranker(f"{server}/rerank", DIM, _head(tmp_path))
         ret = ranked("d1", "d2", "d3")
         docs = ["first widget doc", "unrelated sprocket", "widget widget widget"]
         g = make_graph(ret.keys(), [], contents=dict(zip(ret.keys(), docs)))
@@ -206,6 +221,212 @@ class TestRemoteReranker:
         assert got.keys() == local.keys()
 
     def test_bad_shape_rejected(self, server, tmp_path):
-        remote = RemoteReranker(f"{server}/rerank-bad-shape", DIM, self._head(tmp_path))
+        remote = RemoteReranker(f"{server}/rerank-bad-shape", DIM, _head(tmp_path))
         with pytest.raises(ValueError):
             remote.extract_latents("q", ["a", "b", "c"])
+
+
+class _Recorder(BaseHTTPRequestHandler):
+    """HTTP/1.1 embed and rerank endpoint (told apart by the body) that
+    records, on its server, each connection it accepts and each request's
+    (target, Host header, body). The server's
+    ``status`` sets the reply status; with ``close_each`` the socket is closed
+    after every reply without a ``Connection: close`` header."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        self.server.connections += 1
+
+    def do_POST(self):
+        srv = self.server
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        srv.seen.append((self.path, self.headers["Host"], body))
+        req = json.loads(body)
+        if "texts" in req:
+            payload = {"vectors": [hash_embed(t, DIM).tolist() for t in req["texts"]]}
+        else:
+            q = hash_embed(req["query"], DIM)
+            payload = {"latents": [(q * hash_embed(d, DIM)).tolist() for d in req["documents"]]}
+        data = json.dumps(payload).encode()
+        self.send_response(srv.status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        if srv.close_each:
+            self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def recorder():
+    """Starts :class:`_Recorder` servers; returns (server, base URL) per call."""
+    servers = []
+
+    def start(status=200, close_each=False):
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Recorder)
+        httpd.connections, httpd.seen = 0, []
+        httpd.status, httpd.close_each = status, close_each
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        servers.append(httpd)
+        return httpd, f"http://127.0.0.1:{httpd.server_address[1]}"
+
+    yield start
+    for httpd in servers:
+        httpd.shutdown()
+        httpd.server_close()
+
+
+class _NotHttp(socketserver.StreamRequestHandler):
+    """Reads one HTTP request, then answers with bytes that are not HTTP."""
+
+    def handle(self):
+        length = 0
+        for line in iter(self.rfile.readline, b""):
+            if line == b"\r\n":
+                break
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        self.rfile.read(length)
+        self.wfile.write(b"this is not HTTP\r\n\r\n")
+
+
+@pytest.fixture(scope="module")
+def not_http():
+    srv = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _NotHttp)
+    srv.daemon_threads = True
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{srv.server_address[1]}/embed"
+    srv.shutdown()
+    srv.server_close()
+
+
+def _closed_port_url():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/embed"
+
+
+def _sent_texts(httpd):
+    return [json.loads(body)["texts"] for _, _, body in httpd.seen]
+
+
+class TestTransport:
+    def test_keep_alive_server_sees_one_connection(self, recorder):
+        httpd, url = recorder()
+        emb = RemoteEmbedder(f"{url}/embed", DIM)
+        for i in range(6):
+            assert np.allclose(emb.encode_query(f"q{i}"), hash_embed(f"q{i}", DIM))
+        assert len(httpd.seen) == 6
+        assert httpd.connections == 1
+
+    def test_silently_closed_connection_is_resent_once(self, recorder):
+        httpd, url = recorder(close_each=True)
+        emb = RemoteEmbedder(f"{url}/embed", DIM)
+        texts = [f"text {i}" for i in range(6)]
+        for t in texts:
+            assert np.allclose(emb.encode_query(t), hash_embed(t, DIM))
+        assert _sent_texts(httpd) == [[t] for t in texts]
+        assert httpd.connections == 6
+
+    def test_error_status_is_never_resent(self, recorder):
+        httpd, url = recorder(status=500)
+        emb = RemoteEmbedder(f"{url}/embed", DIM)
+        with pytest.raises(RemoteEndpointError) as info:
+            emb.encode_query("fresh")
+        assert info.value.status == 500
+        assert _sent_texts(httpd) == [["fresh"]]
+        httpd.status = 200
+        emb.encode_query("ok")
+        httpd.status = 503
+        with pytest.raises(RemoteEndpointError, match="503"):
+            emb.encode_query("reused")
+        assert _sent_texts(httpd) == [["fresh"], ["ok"], ["reused"]]
+        assert httpd.connections == 1
+
+    def test_non_http_reply_is_a_package_error(self, not_http):
+        emb = RemoteEmbedder(not_http, DIM)
+        with pytest.raises(RemoteEndpointError) as info:
+            emb.encode_query("x")
+        assert info.value.status is None and info.value.url == not_http
+
+    def test_connection_refused_stays_os_error(self):
+        with pytest.raises(ConnectionRefusedError):
+            RemoteEmbedder(_closed_port_url(), DIM).encode_query("x")
+
+    def test_http_proxy_gets_absolute_target(self, recorder, monkeypatch):
+        httpd, url = recorder()
+        for name in ("no_proxy", "NO_PROXY", "REQUEST_METHOD"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", url)
+        monkeypatch.setenv("HTTP_PROXY", url)
+        emb = RemoteEmbedder("http://model.invalid/embed", DIM)
+        assert np.allclose(emb.encode_query("via proxy"), hash_embed("via proxy", DIM))
+        assert [(path, host) for path, host, _ in httpd.seen] == [
+            ("http://model.invalid/embed", "model.invalid")]
+
+    def test_one_connection_per_thread(self, recorder, tmp_path):
+        httpd, url = recorder()
+        remote, local = RemoteReranker(url, DIM, _head(tmp_path)), HashReranker(DIM)
+        n_threads, calls = 6, 15
+        wrong = []
+
+        def work(i):
+            for j in range(calls):
+                docs = [f"doc {i} {j}", f"other {j}"]
+                try:
+                    ok = np.allclose(remote.extract_latents(f"q{i}", docs),
+                                     local.extract_latents(f"q{i}", docs))
+                except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                    ok = exc
+                if ok is not True:
+                    wrong.append((i, j, ok))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(httpd.seen) == n_threads * calls
+        assert httpd.connections == n_threads
+
+
+class TestCliRemoteErrors:
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("bridge")
+        return synth_bridge(n_clusters=2, cluster_size=12, seed=3, out_dir=str(out))
+
+    @pytest.mark.parametrize("endpoint", ["closed-port", "not-http"])
+    def test_unusable_endpoint_is_one_error_line(self, dataset, tmp_path, capsys,
+                                                 not_http, endpoint):
+        url = _closed_port_url() if endpoint == "closed-port" else not_http
+        code = cli_main(["run", "--nodes", dataset.nodes, "--edges", dataset.edges,
+                         "--queries", dataset.queries, "--qrels", dataset.qrels,
+                         "--encoder", "remote", "--remote-url", url,
+                         "--embed-dim", str(DIM), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert "Traceback" not in err
+
+
+def test_import_loads_no_requests():
+    code = ("import fastinsight, sys; "
+            "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
