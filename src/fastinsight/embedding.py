@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import http.client
 import json
@@ -9,6 +10,7 @@ import os
 import re
 import struct
 import threading
+import urllib.error
 import urllib.parse
 import urllib.request
 from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
@@ -87,78 +89,57 @@ class HashEmbedder:
         return [self.encode_node(t) for t in texts]
 
 
-_JSON_HEADERS = {"Content-Type": "application/json"}
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Leaves a 3xx reply to raise ``HTTPError``: a redirected POST loses its body."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
 
 
 class JsonClient:
     """POSTs JSON to one ``http``/``https`` URL and returns the decoded reply.
 
-    Each thread keeps one connection, which HTTP/1.1 servers keep alive and
-    which closes when its thread ends or the client is dropped;
-    ``http.client`` reconnects by itself after a reply that closes it. A
-    request is sent again, once, on a new connection only when the reused
-    idle connection it went out on had been dropped by the server; never
-    after a fresh connect and never on an error status. The endpoint
-    contracts are pure functions of the body, so that resend is safe.
+    Each request goes out on a connection of its own, through a
+    ``urllib.request`` opener built here, so the proxy settings
+    (``http_proxy``, ``https_proxy``, with any credentials in the proxy URL)
+    are read once per client; a plain-HTTP proxy gets the absolute URL and
+    ``https`` is tunnelled. Credentials in the endpoint URL are sent as HTTP
+    basic auth and kept out of the request line and of error messages.
 
-    An error status (>= 400) or a reply that is not HTTP raises
-    :class:`RemoteEndpointError`; connection failures raise ``OSError``.
-    Proxy settings (``http_proxy``, ``https_proxy``, ``no_proxy``) are read
-    once, here.
+    A status outside 2xx (redirects are not followed), a reply that is not
+    HTTP, or a body that is not JSON raises :class:`RemoteEndpointError`;
+    a connection that cannot be made raises ``OSError``.
     """
 
     def __init__(self, url: str, timeout: float):
         parts = urllib.parse.urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"endpoint URL must be http(s)://host/...: {url!r}")
-        self.url = url
+        self._headers = {"Content-Type": "application/json"}
+        if parts.username is not None:
+            user_pass = f"{urllib.parse.unquote(parts.username)}:" \
+                        f"{urllib.parse.unquote(parts.password or '')}"
+            self._headers["Authorization"] = \
+                "Basic " + base64.b64encode(user_pass.encode()).decode("ascii")
+            parts = parts._replace(netloc=parts.netloc.rpartition("@")[2])
+        self.url = urllib.parse.urlunsplit(parts._replace(fragment=""))
         self.timeout = timeout
-        self._conn_class = (http.client.HTTPSConnection if parts.scheme == "https"
-                            else http.client.HTTPConnection)
-        self._address = (parts.hostname, parts.port)
-        self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
-        self._tunnel = None
-        proxy = urllib.request.getproxies().get(parts.scheme)
-        if proxy and not urllib.request.proxy_bypass(parts.hostname):
-            proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
-            self._address = (proxy_parts.hostname, proxy_parts.port or 80)
-            if parts.scheme == "https":
-                self._tunnel = (parts.hostname, parts.port)
-            else:  # a plain-HTTP proxy takes the absolute URL as the target
-                self._target = urllib.parse.urlunsplit(parts._replace(fragment=""))
-        self._local = threading.local()
-
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._conn_class(*self._address, timeout=self.timeout)
-            if self._tunnel is not None:
-                conn.set_tunnel(*self._tunnel)
-            self._local.conn = conn
-        return conn
+        self._open = urllib.request.build_opener(_NoRedirect).open
 
     def post(self, payload: Any) -> Any:
-        body = json.dumps(payload).encode()
-        conn = self._connection()
-        resend = conn.sock is not None  # only a reused idle connection may be stale
-        while True:
-            try:
-                conn.request("POST", self._target, body, _JSON_HEADERS)
-                resp = conn.getresponse()
-                data = resp.read()
-                break
-            # OSError first: RemoteDisconnected is also an HTTPException.
-            except OSError as exc:
-                conn.close()
-                if not (resend and isinstance(exc, (ConnectionResetError, BrokenPipeError))):
-                    raise
-                resend = False
-            except http.client.HTTPException as exc:
-                conn.close()
-                raise RemoteEndpointError(self.url, None, f"not an HTTP reply: {exc!r}") from exc
-        if resp.status >= 400:
-            raise RemoteEndpointError(self.url, resp.status, f"HTTP {resp.status} {resp.reason}")
-        return json.loads(data)
+        req = urllib.request.Request(self.url, json.dumps(payload).encode(), self._headers)
+        try:
+            with self._open(req, timeout=self.timeout) as resp:
+                status, data = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            raise RemoteEndpointError(self.url, exc.code, f"HTTP {exc.code} {exc.reason}") from exc
+        except http.client.HTTPException as exc:
+            raise RemoteEndpointError(self.url, None, f"not an HTTP reply: {exc!r}") from exc
+        try:
+            return json.loads(data)
+        except ValueError as exc:
+            raise RemoteEndpointError(self.url, status, f"reply is not JSON: {exc}") from exc
 
 
 class RemoteEmbedder:
@@ -250,8 +231,9 @@ def content_digest(text: str) -> bytes:
 def write_cache(path: str, records: CacheRecords, dimension: int) -> None:
     """Persist encoder vectors, each with its content digest, as ``<f8``.
 
-    The cache is written to ``path + ".tmp"`` and then renamed over ``path``,
-    so a write cut short leaves the previous cache as it was.
+    The cache is written to ``path + ".tmp"``, synced to disk and then
+    renamed over ``path``, so a write cut short leaves the previous cache as
+    it was.
     """
     tmp = path + ".tmp"
     try:
@@ -264,6 +246,8 @@ def write_cache(path: str, records: CacheRecords, dimension: int) -> None:
                 fh.write(kb)
                 fh.write(digest)
                 fh.write(np.asarray(vector, dtype="<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
