@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CacheInvalidError, DimensionMismatchError, EncoderError, RemoteEndpointError
 from .graph import CorpusGraph
-from .ranked import RankedList, key_rows
+from .ranked import RankedList, key_rows, table_rows
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -190,7 +190,8 @@ class EmbeddingIndex:
     """Immutable node-key -> vector mapping with a dense matrix for search.
 
     With ``normalize`` each nonzero vector is scaled to unit L2 norm;
-    otherwise vectors are stored as given.
+    otherwise vectors are stored as given. A vector of the wrong shape or
+    with a NaN or infinite entry raises, naming its key.
     """
 
     __slots__ = ("keys", "matrix", "dimension", "_rows")
@@ -199,14 +200,19 @@ class EmbeddingIndex:
         self.keys: Tuple[str, ...] = tuple(sorted(vectors))
         self.dimension = dimension
         mat = np.zeros((len(self.keys), dimension))
-        for i, key in enumerate(self.keys):
-            v = np.asarray(vectors[key], dtype=np.float64)
-            if v.shape != (dimension,):
-                raise DimensionMismatchError(
-                    f"vector for {key!r} has shape {v.shape}, expected ({dimension},)"
-                )
-            norm = np.linalg.norm(v) if normalize else 0.0
-            mat[i] = v / norm if norm > 0 else v
+        with np.errstate(invalid="ignore"):  # inf / inf is NaN, rejected below
+            for i, key in enumerate(self.keys):
+                v = np.asarray(vectors[key], dtype=np.float64)
+                if v.shape != (dimension,):
+                    raise DimensionMismatchError(
+                        f"vector for {key!r} has shape {v.shape}, expected ({dimension},)"
+                    )
+                norm = np.linalg.norm(v) if normalize else 0.0
+                mat[i] = v / norm if norm > 0 else v
+        # Scaling keeps a finite vector finite and a non-finite one non-finite.
+        bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+        if len(bad):
+            raise ValueError(f"vector for {self.keys[bad[0]]!r} has a non-finite entry")
         self.matrix = mat
         self.matrix.setflags(write=False)
         self._rows = {k: i for i, k in enumerate(self.keys)}
@@ -214,13 +220,13 @@ class EmbeddingIndex:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def rows(self, keys: Sequence[str]) -> np.ndarray:
-        """The matrix row of each key, in order; a key the index lacks
-        raises :class:`UnknownNodeError`."""
-        return key_rows(self._rows, keys)
+    def rows(self, names: Sequence[str], ids: np.ndarray) -> np.ndarray:
+        """The matrix row of each of the nodes ``ids`` of the key table ``names``
+        (:func:`table_rows`); a key the index lacks raises :class:`UnknownNodeError`."""
+        return table_rows(self.keys, self._rows, names, ids)
 
     def vector(self, key: str) -> np.ndarray:
-        return self.matrix[self.rows((key,))[0]]
+        return self.matrix[key_rows(self._rows, (key,))[0]]
 
 
 def content_digest(text: str) -> bytes:
@@ -281,7 +287,7 @@ def build_index(
     cache_path: Optional[str] = None,
 ) -> EmbeddingIndex:
     """Encode every node of the graph into a unit-normalized
-    :class:`EmbeddingIndex`.
+    :class:`EmbeddingIndex` whose ``keys`` is ``g.node_keys``.
 
     Nodes are encoded through ``emb.encode_nodes`` in ``node_keys`` order, in
     chunks of ``emb.batch_size``; a failing chunk raises :class:`EncoderError`
@@ -318,6 +324,7 @@ def build_index(
             raise EncoderError(chunk[0], str(exc)) from exc
 
     index = EmbeddingIndex(vectors, d, normalize=True)
+    index.keys = g.node_keys  # the equal sorted tuple: index rows are node ids
     if cache_path is not None and todo:
         records = {key: (content_digest(g.content(key)), vectors[key]) for key in g.node_keys}
         write_cache(cache_path, records, d)

@@ -48,9 +48,9 @@ class FastInsightConfig:
 @dataclass
 class RetrievalTrace:
     """Per-run bookkeeping: the query vector and its top-``k_report`` search
-    hits (``vs_top``), snapshots per iteration, call counts and stage timings."""
+    hits (``vs_top``), each iteration's list, call counts and stage timings."""
 
-    snapshots: List[List[str]] = field(default_factory=list)
+    snapshots: List[RankedList] = field(default_factory=list)
     vs_calls: int = 0
     granker_calls: int = 0
     stex_calls: int = 0
@@ -98,7 +98,8 @@ def fastinsight_retrieve(
     alternates frontier expansion (append up to ``batch`` candidates, capped
     at ``budget``) with graph reranking until the budget is reached or the
     frontier empties. Each retrieved document reaches the reranker once: the
-    granker calls share one per-query :class:`GRankerState`.
+    granker calls share one per-query :class:`GRankerState`. The loop passes
+    node ids only; keys are resolved once, for the returned list.
     """
     if g.n_nodes == 0:
         raise ValueError("graph is empty")
@@ -109,7 +110,7 @@ def fastinsight_retrieve(
         with trace.stage("rerank"):
             ret = granker(q, ret, g, cfg.alpha, rr, state=state)
         trace.granker_calls += 1
-        trace.snapshots.append(list(ret.keys()))
+        trace.snapshots.append(ret)
         if len(ret) >= cfg.budget:
             break
         with trace.stage("expand"):
@@ -120,6 +121,7 @@ def fastinsight_retrieve(
             break
         ret = RankedList.of(ret.names, np.concatenate([ret.ids, additions.ids]),
                             np.concatenate([ret.scores, additions.scores]))
+    ret.keys()  # the output boundary: the returned list's keys, resolved once
     return ret, trace
 
 

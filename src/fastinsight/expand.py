@@ -51,7 +51,7 @@ def _score(
     # C_max = 1 forces |A(n)| = 1, so its bridging term is 0 / 1 = 0.
     c_max = np.minimum(g.degrees[cand.ids], r_max)
     i_struct += (cand.adjacent - 1) / np.maximum(c_max - 1, 1)
-    i_sim = index.matrix[index.rows(cand)] @ v_q
+    i_sim = index.matrix[index.rows(g.node_keys, cand.ids)] @ v_q
     return cand, i_struct, i_sim, i_sim + beta * i_struct
 
 
@@ -75,11 +75,11 @@ def stex_scores(
       - total = i_sim + beta * i_struct, with beta finite and non-negative.
     """
     cand, i_struct, i_sim, total = _score(v_q, index, g, ret, beta)
+    top = RankedList.top(g.node_keys, cand.ids, total)
     # Candidates ascend by id, so a binary search finds each ranked one.
-    order = np.searchsorted(cand.ids, RankedList.top(g.node_keys, cand.ids, total).ids)
+    order = np.searchsorted(cand.ids, top.ids)
     return [StexScore(*row) for row in zip(
-        [cand[i] for i in order.tolist()], i_struct[order].tolist(), i_sim[order].tolist(),
-        total[order].tolist())]
+        top.keys(), i_struct[order].tolist(), i_sim[order].tolist(), top.scores.tolist())]
 
 
 def stex(

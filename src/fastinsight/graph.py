@@ -16,6 +16,7 @@ import json
 import logging
 from array import array
 from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass
 from typing import BinaryIO, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     GraphValidationError,
     UnknownNodeError,
 )
-from .ranked import RankedList, key_rows
+from .ranked import RankedList, key_rows, table_rows
 
 logger = logging.getLogger(__name__)
 
@@ -50,12 +51,7 @@ class CorpusGraph:
     __slots__ = ("_content", "_keys", "_index", "_indptr", "_indices",
                  "_degrees", "_directed", "self_loops_dropped")
 
-    def __init__(
-        self,
-        nodes: Dict[str, str],
-        edges: Iterable[Tuple[str, str]],
-        self_loops_dropped: int = 0,
-    ):
+    def __init__(self, nodes: Dict[str, str], edges: Iterable[Tuple[str, str]]):
         content: Dict[str, str] = {}
         for key, text in nodes.items():
             if not key:
@@ -67,13 +63,14 @@ class CorpusGraph:
 
         codes = array("q")  # src_id * n + dst_id of every kept directed edge
         bad: List[str] = []
+        self_loops = 0
         for src, dst in edges:
             i, j = index.get(src), index.get(dst)
             if i is None or j is None:
                 bad.extend(k for k in (src, dst) if k not in index)
                 continue
             if i == j:
-                self_loops_dropped += 1
+                self_loops += 1
                 continue
             codes.append(i * n + j)
         if bad:
@@ -97,7 +94,7 @@ class CorpusGraph:
         self._indices = cols
         self._degrees = degrees
         self._directed = directed
-        self.self_loops_dropped = self_loops_dropped
+        self.self_loops_dropped = self_loops
 
     @property
     def node_keys(self) -> Tuple[str, ...]:
@@ -151,9 +148,8 @@ class CorpusGraph:
     def own(self, ret: RankedList) -> RankedList:
         """``ret`` over ``node_keys``: itself if it is, else converted once by
         key; a key the graph lacks raises :class:`UnknownNodeError`."""
-        if ret.names is self._keys:
-            return ret
-        return RankedList.of(self._keys, self.ids(ret.keys()), ret.scores)
+        ids = table_rows(self._keys, self._index, ret.names, ret.ids)
+        return ret if ids is ret.ids else RankedList.of(self._keys, ids, ret.scores)
 
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
@@ -252,13 +248,17 @@ def save_graph(g: CorpusGraph, nodes_path: str, edges_path: str) -> None:
             fh.write(f"{keys[src]}\t{keys[dst]}\n")
 
 
-class Frontier(list):
-    """Frontier keys, ascending, with one entry per key in each array:
-    ``ids`` (node ids, ascending), ``adjacent`` (|A(n)|, how many retrieved
-    nodes neighbor the candidate) and ``best_rank`` (the best, lowest, rank
-    among those retrieved neighbors)."""
+@dataclass(frozen=True, eq=False)
+class Frontier:
+    """Frontier node ids, ascending, with each candidate's |A(n)| (how many
+    retrieved nodes neighbor it) and the best, lowest, rank among them."""
 
-    __slots__ = ("ids", "adjacent", "best_rank")
+    ids: np.ndarray
+    adjacent: np.ndarray
+    best_rank: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 def _gather(g: CorpusGraph, own: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -278,7 +278,7 @@ def frontier(g: CorpusGraph, ret: RankedList) -> Frontier:
 
     One pass over the CSR: the retrieved nodes' neighbor slices are gathered
     in rank order, entries pointing back into the set are dropped, and the
-    rest are counted per candidate. Returned ascending by key.
+    rest are counted per candidate. Returned ascending by id.
     """
     own = g.own(ret).ids
     nbr, owner = _gather(g, own)
@@ -292,9 +292,7 @@ def frontier(g: CorpusGraph, ret: RankedList) -> Frontier:
     best = np.empty(len(adjacent), dtype=np.intp)
     best.fill(len(own) + 1)  # above every rank; stays only off the frontier
     np.minimum.at(best, nbr, owner[at] + 1)
-    out = Frontier(map(g.node_keys.__getitem__, ids.tolist()))
-    out.ids, out.adjacent, out.best_rank = ids, adjacent[ids], best[ids]
-    return out
+    return Frontier(ids, adjacent[ids], best[ids])
 
 
 def induced(g: CorpusGraph, own: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -55,13 +55,13 @@ def seed_path_costs(
     ``(cost, key)`` order, because ids ascend with keys.
     """
     seed_ids = g.own(ret).ids if isinstance(ret, RankedList) else g.ids(tuple(ret))
-    seeds = set(seed_ids.tolist())
     pending = None if targets is None else set(g.ids(tuple(targets)).tolist())
     out = SettledCosts()
     out.resolved = {}
     if pending is not None and not pending:
         return out
 
+    seeds = set(seed_ids.tolist())
     ptr, nbrs = memoryview(g.indptr), memoryview(g.indices)
     best = {i: math.log1p(ptr[i + 1] - ptr[i]) for i in seeds}
     heap = [(cost, i) for i, cost in best.items()]
@@ -156,9 +156,7 @@ def tr_and_miss_tr(
     if not isinstance(ret, RankedList):
         ret = tuple(ret)
     ret_set = set(_ret_keys(ret))
-    for key in oracle:
-        if key not in g:
-            raise UnknownNodeError(key)
+    g.ids(tuple(oracle))  # an unknown gold key raises UnknownNodeError
     missed = sorted(oracle - ret_set)
     costs = seed_path_costs(g, ret, targets=missed).resolved
 

@@ -102,3 +102,11 @@ def key_rows(row_of: Mapping[str, int], keys: Sequence[str]) -> np.ndarray:
     except KeyError as exc:
         raise UnknownNodeError(exc.args[0]) from None
 
+
+def table_rows(table: Sequence[str], row_of: Mapping[str, int],
+               names: Sequence[str], ids: np.ndarray) -> np.ndarray:
+    """Rows in ``table`` (``row_of`` maps its keys to rows) of nodes ``ids`` of the
+    key table ``names``: ``ids`` itself when ``names`` is ``table``, else by key."""
+    if names is table:
+        return ids
+    return key_rows(row_of, tuple(map(names.__getitem__, ids.tolist())))

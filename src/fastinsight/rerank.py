@@ -19,7 +19,7 @@ import numpy as np
 from .embedding import JsonClient, hash_embed
 from .errors import RerankerError
 from .graph import CorpusGraph, induced
-from .ranked import RankedList, key_rows
+from .ranked import RankedList
 
 # A latent batch is a |ret| x d_h float matrix, rows aligned with the ranked
 # list the latents were extracted for.
@@ -143,6 +143,8 @@ class RemoteReranker(Reranker):
                 f"remote reranker returned shape {latents.shape}, "
                 f"expected ({len(contents)}, {self.latent_dim})"
             )
+        if not np.isfinite(latents).all():
+            raise ValueError("remote reranker returned a non-finite latent")
         return latents
 
     def head_scores(self, latents: LatentBatch) -> np.ndarray:
@@ -162,8 +164,8 @@ class PropagationMatrix:
 
 
 class GRankerState:
-    """Latent rows :func:`granker` has already extracted for one query,
-    reused by its later calls, keyed by node id.
+    """Latent rows :func:`granker` has already extracted for one query, reused
+    by its later calls; ``_row`` maps node ids to them, -1 if not extracted.
 
     Rows are kept in insertion order and gathered in the current rank order,
     so a call only extracts the documents that are new to the list. One
@@ -172,20 +174,20 @@ class GRankerState:
     """
 
     def __init__(self) -> None:
-        self._latent_row: Dict[int, int] = {}
+        self._row: Optional[np.ndarray] = None
         self._latents: Optional[LatentBatch] = None
 
     def latents(self, q: str, ids: np.ndarray, g: CorpusGraph, rr: Reranker) -> LatentBatch:
         """Latent rows of node ``ids`` in that order; only unseen nodes reach the reranker."""
-        ids = ids.tolist()
-        new = [i for i in ids if i not in self._latent_row]
-        if new:
-            keys = [g.node_keys[i] for i in new]
+        if self._row is None:
+            self._row = np.full(g.n_nodes, -1, dtype=np.intp)
+        new = ids[self._row[ids] < 0]  # in list order
+        if len(new):
+            keys = [g.node_keys[i] for i in new.tolist()]
             rows = _extract(q, keys, [g.content(k) for k in keys], rr)
             self._latents = rows if self._latents is None else np.concatenate([self._latents, rows])
-            for i in new:
-                self._latent_row[i] = len(self._latent_row)
-        return self._latents[key_rows(self._latent_row, ids)]
+            self._row[new] = np.arange(len(self._latents) - len(new), len(self._latents))
+        return self._latents[self._row[ids]]
 
 
 def build_propagation(ret: RankedList, g: CorpusGraph) -> PropagationMatrix:
@@ -202,9 +204,7 @@ def build_propagation(ret: RankedList, g: CorpusGraph) -> PropagationMatrix:
     w = a / deg[np.newaxis, :]
     row_sums = w.sum(axis=1)
     isolated = frozenset(int(i) for i in np.flatnonzero(row_sums == 0.0))
-    p = np.zeros_like(w)
-    live = row_sums > 0.0
-    p[live] = w[live] / row_sums[live, np.newaxis]
+    p = w / np.where(row_sums > 0.0, row_sums, 1.0)[:, np.newaxis]  # isolated rows stay 0
     return PropagationMatrix(matrix=p, isolated_rows=isolated)
 
 

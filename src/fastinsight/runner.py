@@ -84,8 +84,8 @@ class RunConfig:
 
 
 def load_queries(path: str) -> List[Tuple[str, str]]:
-    """JSON-lines {"id": ..., "text": ...}, returned sorted by id."""
-    out: List[Tuple[str, str]] = []
+    """JSON-lines {"id": ..., "text": ...} with distinct ids, returned sorted by id."""
+    out: Dict[str, str] = {}
     with open(path, "rb") as fh:
         for line_no, line in text_lines(fh, "queries file"):
             line = line.strip()
@@ -93,10 +93,13 @@ def load_queries(path: str) -> List[Tuple[str, str]]:
                 continue
             try:
                 obj = json.loads(line)
-                out.append((str(obj["id"]), str(obj["text"])))
+                qid, text = str(obj["id"]), str(obj["text"])
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise GraphFormatError("queries file", line_no, str(exc)) from exc
-    return sorted(out)
+            if qid in out:
+                raise GraphFormatError("queries file", line_no, f"duplicate query id {qid!r}")
+            out[qid] = text
+    return sorted(out.items())
 
 
 def _percentile(values: List[float], q: float) -> float:
@@ -161,21 +164,16 @@ def run_eval(cfg: RunConfig) -> Dict:
 
     rows: List[Dict] = []
     error: Optional[RunError] = None
+    pool = ThreadPoolExecutor(max_workers=cfg.jobs)
     try:
-        if cfg.jobs == 1:
-            for qid, text in queries:
-                rows.append(safe_worker(qid, text))
-        else:
-            pool = ThreadPoolExecutor(max_workers=cfg.jobs)
-            try:
-                for fut in [pool.submit(safe_worker, qid, text) for qid, text in queries]:
-                    rows.append(fut.result())
-            finally:
-                # After a failure, the queries that have not started never run.
-                pool.shutdown(cancel_futures=True)
+        for fut in [pool.submit(safe_worker, qid, text) for qid, text in queries]:
+            rows.append(fut.result())
     except RunError as exc:
         # Flush whatever completed, then abort with the failing query id.
         error = exc
+    finally:
+        # After a failure, the queries that have not started never run.
+        pool.shutdown(cancel_futures=True)
 
     rows.sort(key=lambda r: r["query_id"])
     _write_per_query(os.path.join(cfg.out_dir, "per_query.csv"), rows)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import fastinsight
-from fastinsight import CorpusGraph, HashEmbedder, HashReranker, RankedList
+from fastinsight import CorpusGraph, HashEmbedder, HashReranker, RankedList, frontier
 
 
 def make_graph(node_keys, edges, contents=None):
@@ -79,6 +79,11 @@ def reranker():
 def path_graph():
     """a - b - c undirected path (stored as two directed edges)."""
     return make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+
+
+def frontier_keys(g, ret):
+    """The keys of ``frontier(g, ret)``, in its (ascending) order."""
+    return [g.node_keys[i] for i in frontier(g, ret).ids.tolist()]
 
 
 def ranked(*keys, scores=None):

@@ -67,7 +67,7 @@ def test_package_feeds_every_benchmark_span():
     # frontier span counts the candidates that call scored.
     assert trace.stex_calls > 0
     scored = [len(stex_scores(trace.query_vector, index, g,
-                              RankedList((k, 0.0) for k in snapshot), cfg.beta))
+                              RankedList((k, 0.0) for k in snapshot.keys()), cfg.beta))
               for snapshot in trace.snapshots[:trace.stex_calls]]
     assert [s.count for s in rec.spans if s.name == "graph.frontier"] == scored
 

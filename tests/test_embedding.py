@@ -222,6 +222,14 @@ class TestVectorSearch:
         with pytest.raises(DimensionMismatchError):
             vector_search(np.ones(9), index, 1)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad, normalize):
+        vectors = {"a": np.ones(8), "b": np.ones(8), "c": np.ones(8)}
+        vectors["b"][3] = bad
+        with pytest.raises(ValueError, match="'b' has a non-finite entry"):
+            EmbeddingIndex(vectors, 8, normalize=normalize)
+
     def test_empty_index_rejected(self):
         index = EmbeddingIndex({}, 8)
         with pytest.raises(ValueError):

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastinsight import (
+    EmbeddingIndex,
     FastInsightConfig,
     HashEmbedder,
     HashReranker,
+    RankedList,
     baseline_re2,
     baseline_vs,
     build_index,
@@ -17,12 +19,13 @@ from fastinsight import (
     granker,
     rerank_pool,
     stex,
+    stex_scores,
     vector_search,
 )
 
 from fastinsight.engine import METHODS
 
-from conftest import CountingReranker, make_graph
+from conftest import CountingReranker, make_graph, ranked
 
 
 def _rich_graph(n=120, p=0.05, seed=5):
@@ -63,7 +66,7 @@ class TestLoop:
         assert trace.granker_calls == 10  # 1 seed pass + 9 expansion passes
         assert trace.stex_calls == 9
         initial_vs = vector_search(trace.query_vector, index, 10).keys()
-        assert set(initial_vs) == set(trace.snapshots[0])
+        assert set(initial_vs) == set(trace.snapshots[0].keys())
         assert len(initial_vs) == 10
 
     def test_snapshots_grow_by_batch(self, rich):
@@ -72,7 +75,7 @@ class TestLoop:
         ret, trace = fastinsight_retrieve("tok2", g, index, emb, rr, cfg)
         assert [len(s) for s in trace.snapshots] == [7, 14, 21, 28, 30]
         for prev, cur in zip(trace.snapshots, trace.snapshots[1:]):
-            assert set(prev) <= set(cur)
+            assert set(prev.keys()) <= set(cur.keys())
 
     def test_early_stop_on_exhausted_component(self):
         # 12-node clique island plus a far-away component the walk can't reach
@@ -131,6 +134,17 @@ class TestLoop:
         assert all(docs for _, docs in rr.batches)
         # one reranker batch per granker call; granker_calls still counts iterations
         assert len(rr.batches) == trace.granker_calls == 10
+
+    def test_loop_resolves_only_the_returned_keys(self, rich, monkeypatch):
+        g, index, emb, rr = rich
+        assert build_index(g, emb).keys is g.node_keys
+        resolved = []
+        keys = RankedList.keys
+        monkeypatch.setattr(RankedList, "keys", lambda self: resolved.append(self) or keys(self))
+        ret, trace = fastinsight_retrieve("tok1 tok4 filler2", g, index, emb, rr,
+                                          FastInsightConfig(batch=10, budget=100))
+        assert len(ret) == 100 and trace.granker_calls == 10
+        assert len(resolved) == 1 and resolved[0] is ret
 
     def test_empty_graph_rejected(self):
         g = make_graph([], [])
@@ -273,3 +287,39 @@ def test_engine_matches_stateless_granker_loop(case, q):
         return ret.items()
 
     assert engine() == stateless_loop()
+
+
+@st.composite
+def _index_case(draw):
+    """A graph, a query naming some of its nodes, a ranked list over it in a
+    random order, and loop settings."""
+    n = draw(st.integers(1, 12))
+    keys = [f"n{i:02d}" for i in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = [(keys[i], keys[j]) for i, j in draw(st.lists(pairs, max_size=3 * n))]
+    q = " ".join(["node"] + draw(st.lists(st.sampled_from(keys), max_size=3)))
+    ret = draw(st.permutations(keys))[:draw(st.integers(1, n))]
+    budget = draw(st.integers(1, 15))
+    cfg = FastInsightConfig(batch=draw(st.integers(1, budget)), budget=budget,
+                            beta=draw(st.floats(0.0, 3.0)))
+    return make_graph(keys, edges), q, ranked(*ret), cfg
+
+
+class TestHandBuiltIndex:
+    @settings(max_examples=80, deadline=None)
+    @given(_index_case())
+    def test_same_results_as_built_index(self, case):
+        # The built index shares the graph's key table (rows are node ids);
+        # the hand-built one has an equal table of its own (rows by key).
+        g, q, ret, cfg = case
+        emb, rr = HashEmbedder(16), HashReranker(16)
+        built = build_index(g, emb)
+        hand = EmbeddingIndex({k: built.vector(k) for k in g.node_keys}, emb.dimension)
+        assert built.keys is g.node_keys and hand.keys is not g.node_keys
+        v_q = emb.encode_query(q)
+        assert stex(v_q, hand, g, ret, cfg.beta).items() == stex(v_q, built, g, ret, cfg.beta).items()
+        assert stex_scores(v_q, hand, g, ret, cfg.beta) == stex_scores(v_q, built, g, ret, cfg.beta)
+        got, got_trace = fastinsight_retrieve(q, g, hand, emb, rr, cfg)
+        want, want_trace = fastinsight_retrieve(q, g, built, emb, rr, cfg)
+        assert got.items() == want.items()
+        assert [s.items() for s in got_trace.snapshots] == [s.items() for s in want_trace.snapshots]

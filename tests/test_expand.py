@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastinsight import EmbeddingIndex, RankedList, frontier, stex, stex_scores
+from fastinsight import EmbeddingIndex, RankedList, stex, stex_scores
 
-from conftest import make_graph, random_graph, ranked
+from conftest import frontier_keys, make_graph, random_graph, ranked
 
 
 def _index_from(vectors):
@@ -100,7 +100,7 @@ class TestProperties:
         for _ in range(150):
             g, index, ret = self._random_case(rng)
             out = stex(np.array([0.3, -0.1, 0.5, 0.2]), index, g, ret, beta=1.0)
-            assert sorted(out.keys()) == frontier(g, ret)
+            assert sorted(out.keys()) == frontier_keys(g, ret)
             assert not set(out.keys()) & set(ret.keys())
 
     def test_i_struct_bounded(self):
@@ -215,7 +215,7 @@ class TestOnePassMatchesLoop:
         g, index, ret, v_q, beta = case
         want = _reference_scores(v_q, index, g, ret, beta)
         got = stex_scores(v_q, index, g, ret, beta)
-        assert frontier(g, ret) == sorted(s.key for s in got) == sorted(w[0] for w in want)
+        assert frontier_keys(g, ret) == sorted(s.key for s in got) == sorted(w[0] for w in want)
         ref = {w[0]: w for w in want}
         for s in got:
             assert s.i_struct == ref[s.key][1]  # same float operations: bit-equal

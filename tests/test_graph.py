@@ -30,7 +30,7 @@ from fastinsight.errors import (
 )
 from fastinsight.graph import induced
 
-from conftest import make_graph, random_graph, ranked
+from conftest import frontier_keys, make_graph, random_graph, ranked
 
 
 def _nodes_bytes(keys):
@@ -231,14 +231,14 @@ class TestTopology:
             path_graph.degree("zz")
 
     def test_frontier_path(self, path_graph):
-        assert frontier(path_graph, ranked("a")) == ["b"]
+        assert frontier_keys(path_graph, ranked("a")) == ["b"]
 
     def test_frontier_triangle(self):
         g = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
-        assert frontier(g, ranked("a", "b")) == ["c"]
+        assert frontier_keys(g, ranked("a", "b")) == ["c"]
 
     def test_frontier_whole_graph_empty(self, path_graph):
-        assert frontier(path_graph, ranked("a", "b", "c")) == []
+        assert frontier_keys(path_graph, ranked("a", "b", "c")) == []
 
     def test_frontier_unknown_key(self, path_graph):
         with pytest.raises(UnknownNodeError):
@@ -250,7 +250,7 @@ class TestTopology:
             g = random_graph(rng)
             keys = list(g.node_keys)
             picks = rng.sample(keys, rng.randint(1, len(keys)))
-            f = frontier(g, ranked(*picks))
+            f = frontier_keys(g, ranked(*picks))
             assert not set(f) & set(picks)
             assert f == sorted(f)
 

@@ -23,7 +23,12 @@ from fastinsight import (
     rerank_pool,
 )
 from fastinsight.cli import main as cli_main
-from fastinsight.errors import DimensionMismatchError, EncoderError, RemoteEndpointError
+from fastinsight.errors import (
+    DimensionMismatchError,
+    EncoderError,
+    RemoteEndpointError,
+    RerankerError,
+)
 from fastinsight.synth import synth_bridge
 
 from conftest import child_env, make_graph, ranked
@@ -46,6 +51,9 @@ class _Handler(BaseHTTPRequestHandler):
             payload = {"vectors": [[0.0] * (DIM + 3) for _ in body["texts"]]}
         elif self.path == "/embed-short":
             payload = {"vectors": [hash_embed(t, DIM).tolist() for t in body["texts"][1:]]}
+        elif self.path == "/embed-nan":
+            payload = {"vectors": [[float("nan")] * DIM if t == "nan" else hash_embed(t, DIM).tolist()
+                                   for t in body["texts"]]}
         elif self.path == "/embed-fail":
             if "boom" in body["texts"]:
                 self.send_error(500)
@@ -58,6 +66,8 @@ class _Handler(BaseHTTPRequestHandler):
                                    for d in body["documents"]]}
         elif self.path == "/rerank-bad-shape":
             payload = {"latents": [[0.0, 1.0]]}
+        elif self.path == "/rerank-inf":
+            payload = {"latents": [[float("inf")] * DIM for _ in body["documents"]]}
         else:
             self.send_error(404)
             return
@@ -100,6 +110,12 @@ class TestRemoteEmbedder:
         emb = RemoteEmbedder(f"{server}/embed-bad-dim", DIM)
         with pytest.raises(DimensionMismatchError):
             emb.encode_query("x")
+
+    def test_non_finite_vector_rejected(self, server):
+        # json reads NaN; an index holding it would match no query.
+        g = make_graph(["a", "b", "c"], [], contents={"a": "alpha", "b": "nan", "c": "gamma"})
+        with pytest.raises(ValueError, match="'b' has a non-finite entry"):
+            build_index(g, RemoteEmbedder(f"{server}/embed-nan", DIM))
 
     def test_short_reply_rejected(self, server):
         emb = RemoteEmbedder(f"{server}/embed-short", DIM)
@@ -225,6 +241,14 @@ class TestRemoteReranker:
         remote = RemoteReranker(f"{server}/rerank-bad-shape", DIM, _head(tmp_path))
         with pytest.raises(ValueError):
             remote.extract_latents("q", ["a", "b", "c"])
+
+    def test_non_finite_latents_rejected(self, server, tmp_path):
+        remote = RemoteReranker(f"{server}/rerank-inf", DIM, _head(tmp_path))
+        with pytest.raises(ValueError, match="non-finite"):
+            remote.extract_latents("q", ["a", "b"])
+        g = make_graph(["d1", "d2"], [])
+        with pytest.raises(RerankerError, match="'d1'.*non-finite"):
+            rerank_pool("q", ranked("d1", "d2"), g, remote)
 
 
 class _Recorder(BaseHTTPRequestHandler):

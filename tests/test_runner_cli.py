@@ -281,8 +281,10 @@ class TestCli:
         ("queries", b"\n[1, 2]\n", "queries file, line 2"),
         ("queries", b"\n\xff\n", "queries file, line 2"),
         ("qrels", b"\n\xff\tn\t1\n", "qrels file, line 2"),
+        ("queries", b'{"id": "q1", "text": "a"}\n\n{"id": "q1", "text": "b"}\n',
+         "queries file, line 3: duplicate query id 'q1'"),
     ], ids=["edges-columns", "edges-utf8", "nodes-utf8", "queries-not-object",
-            "queries-utf8", "qrels-utf8"])
+            "queries-utf8", "qrels-utf8", "queries-duplicate-id"])
     def test_malformed_file_is_an_error_line(self, dataset, tmp_path, which, data, where):
         files = {"nodes": dataset.nodes, "edges": dataset.edges,
                  "queries": dataset.queries, "qrels": dataset.qrels}
