@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .errors import FastInsightError
-from .runner import METHODS, RunConfig, run_eval, run_sweep
+from .runner import ENCODERS, METHODS, RunConfig, run_eval, run_sweep
 from .synth import synth_bridge
 
 
@@ -19,23 +19,25 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fastinsight")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a retrieval evaluation")
+    # An option left out is left to RunConfig's default.
+    run = sub.add_parser("run", help="run a retrieval evaluation",
+                         argument_default=argparse.SUPPRESS)
     run.add_argument("--nodes", required=True)
     run.add_argument("--edges", required=True)
     run.add_argument("--queries", required=True)
     run.add_argument("--qrels", required=True)
-    run.add_argument("--method", choices=METHODS, default="fastinsight")
-    run.add_argument("--batch", type=int, default=10)
-    run.add_argument("--alpha", type=float, default=0.2)
-    run.add_argument("--beta", type=float, default=1.0)
-    run.add_argument("--budget", type=int, default=100)
-    run.add_argument("--k", type=int, default=10)
-    run.add_argument("--encoder", choices=("hash", "remote"), default="hash")
-    run.add_argument("--remote-url", default=None)
-    run.add_argument("--embed-dim", type=int, default=256)
-    run.add_argument("--out", default="out")
-    run.add_argument("--jobs", type=int, default=1)
-    run.add_argument("--seed", type=int, default=0,
+    run.add_argument("--method", choices=METHODS)
+    run.add_argument("--batch", type=int)
+    run.add_argument("--alpha", type=float)
+    run.add_argument("--beta", type=float)
+    run.add_argument("--budget", type=int)
+    run.add_argument("--k", type=int)
+    run.add_argument("--encoder", choices=ENCODERS)
+    run.add_argument("--remote-url")
+    run.add_argument("--embed-dim", type=int)
+    run.add_argument("--out", dest="out_dir")
+    run.add_argument("--jobs", type=int)
+    run.add_argument("--seed", type=int,
                      help="recorded in report.json only; every method is deterministic, "
                           "so it changes no result")
     run.add_argument("--sweep-budget", action="store_true",
@@ -50,20 +52,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "synth":
-        paths = synth_bridge(args.clusters, args.cluster_size, args.seed, args.out)
+    args = vars(_build_parser().parse_args(argv))
+    if args.pop("command") == "synth":
+        paths = synth_bridge(args["clusters"], args["cluster_size"], args["seed"], args["out"])
         print(f"wrote {paths.nodes}, {paths.edges}, {paths.queries}, {paths.qrels}")
         return 0
 
-    cfg = RunConfig(
-        nodes=args.nodes, edges=args.edges, queries=args.queries, qrels=args.qrels,
-        method=args.method, batch=args.batch, alpha=args.alpha, beta=args.beta,
-        budget=args.budget, k=args.k, encoder=args.encoder, remote_url=args.remote_url,
-        embed_dim=args.embed_dim, out_dir=args.out, jobs=args.jobs, seed=args.seed,
-    )
+    sweep = args.pop("sweep_budget", False)
+    cfg = RunConfig(**args)
     try:
-        if args.sweep_budget:
+        if sweep:
             summary = run_sweep(cfg)
             print(f"sweep complete: {len(summary['points'])} budgets -> {cfg.out_dir}/sweep.json")
         else:

@@ -261,23 +261,30 @@ def write_cache(path: str, records: CacheRecords, dimension: int) -> None:
 
 
 def read_cache(path: str) -> Tuple[CacheRecords, int]:
-    """Read a binary vector cache; returns (records, dimension)."""
+    """Read a binary vector cache; returns (records, dimension). A file that
+    ends early or holds a key that is not UTF-8 raises :class:`CacheInvalidError`."""
     with open(path, "rb") as fh:
+        def take(size: int) -> bytes:
+            buf = fh.read(size)
+            if len(buf) != size:
+                raise CacheInvalidError(f"truncated cache {path!r}")
+            return buf
+
         magic = fh.read(4)
         if magic != CACHE_MAGIC:
             raise CacheInvalidError(f"bad magic in {path!r}: {magic!r}")
-        version, d, count = struct.unpack("<IIQ", fh.read(16))
+        version, d, count = struct.unpack("<IIQ", take(16))
         if version != CACHE_VERSION:
             raise CacheInvalidError(f"unsupported cache version {version}")
         records: CacheRecords = {}
         for _ in range(count):
-            (klen,) = struct.unpack("<I", fh.read(4))
-            key = fh.read(klen).decode("utf-8")
-            digest = fh.read(DIGEST_SIZE)
-            buf = fh.read(8 * d)
-            if len(digest) != DIGEST_SIZE or len(buf) != 8 * d:
-                raise CacheInvalidError(f"truncated cache record for {key!r}")
-            records[key] = (digest, np.frombuffer(buf, dtype="<f8").astype(np.float64))
+            (klen,) = struct.unpack("<I", take(4))
+            try:
+                key = take(klen).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CacheInvalidError(f"cache key is not UTF-8 in {path!r}: {exc}") from None
+            digest = take(DIGEST_SIZE)
+            records[key] = (digest, np.frombuffer(take(8 * d), dtype="<f8").astype(np.float64))
     return records, d
 
 
@@ -336,7 +343,8 @@ def vector_search(v_q: np.ndarray, index: EmbeddingIndex, k: int) -> RankedList:
 
     With unit-normalized vectors (the default index build) the dot product
     coincides with cosine similarity. If k exceeds the index size, all nodes
-    are returned, ranked. Ties break by ascending key.
+    are returned, ranked. Ties break by ascending key. A query vector with a
+    NaN or infinite entry raises ``ValueError``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -347,5 +355,7 @@ def vector_search(v_q: np.ndarray, index: EmbeddingIndex, k: int) -> RankedList:
         raise DimensionMismatchError(
             f"query dimension {v_q.shape} != index dimension ({index.dimension},)"
         )
+    if not np.isfinite(v_q).all():
+        raise ValueError("query vector has a non-finite entry")
     scores = index.matrix @ v_q
     return RankedList.top(index.keys, np.arange(len(scores)), scores, k)

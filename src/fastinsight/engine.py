@@ -119,8 +119,7 @@ def fastinsight_retrieve(
         trace.stex_calls += 1
         if len(additions) == 0:
             break
-        ret = RankedList.of(ret.names, np.concatenate([ret.ids, additions.ids]),
-                            np.concatenate([ret.scores, additions.scores]))
+        ret = ret.concat(additions)
     ret.keys()  # the output boundary: the returned list's keys, resolved once
     return ret, trace
 
@@ -146,14 +145,15 @@ def baseline_re2(q: str, g: CorpusGraph, index: EmbeddingIndex, emb: Embedder,
 def baseline_ppr(q: str, g: CorpusGraph, index: EmbeddingIndex, emb: Embedder,
                  rr: Reranker, cfg: FastInsightConfig) -> Tuple[RankedList, RetrievalTrace]:
     """Personalized-PageRank baseline: ``batch`` vector-search seeds, then the
-    best-scored non-seed nodes up to ``budget``. Seeds that fill the budget
-    are returned as they are, without a PageRank run."""
+    best-scored non-seed nodes up to ``budget``, over ``g.node_keys``. Seeds
+    that fill the budget are returned without a PageRank run."""
     seeds, trace = _seed(q, index, emb, cfg.batch, cfg.k_report)
+    seeds = g.own(seeds)
     if len(seeds) >= cfg.budget:
         return seeds, trace
     with trace.stage("expand"):
         expanded = personalized_pagerank(g, seeds, k=cfg.budget - len(seeds))
-    return seeds.extend(expanded.items()), trace
+    return seeds.concat(expanded), trace
 
 
 METHODS: Dict[str, Callable[..., Tuple[RankedList, RetrievalTrace]]] = {

@@ -192,6 +192,30 @@ def text_lines(fh: BinaryIO, source: str) -> Iterator[Tuple[int, str]]:
         yield line_no, line.rstrip("\n\r")
 
 
+def read_records(fh: BinaryIO, source: str, noun: str, key: str, text: str) -> Dict[str, str]:
+    """``{record[key]: record[text]}`` over the JSON-object lines of a
+    :func:`text_lines` file, blank lines skipped. The key must be a non-empty
+    string and the text a string; a line that breaks either rule, or repeats
+    a key, raises :class:`GraphFormatError` (``noun`` names the key in it)."""
+    out: Dict[str, str] = {}
+    for line_no, line in text_lines(fh, source):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            k, t = obj[key], obj[text]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise GraphFormatError(source, line_no, str(exc)) from exc
+        if not isinstance(k, str) or not k:
+            raise GraphFormatError(source, line_no, f"{noun} must be a non-empty string")
+        if not isinstance(t, str):
+            raise GraphFormatError(source, line_no, f"{text!r} must be a string")
+        if k in out:
+            raise GraphFormatError(source, line_no, f"duplicate {noun} {k!r}")
+        out[k] = t
+    return out
+
+
 def _read_edges(fh: BinaryIO) -> Iterator[Tuple[str, str]]:
     """(src, dst) key pairs of an edges file, one line at a time."""
     for line_no, line in text_lines(fh, "edges file"):
@@ -206,28 +230,14 @@ def _read_edges(fh: BinaryIO) -> Iterator[Tuple[str, str]]:
 def load_graph(nodes_source: Source, edges_source: Source) -> CorpusGraph:
     """Load and validate a corpus graph.
 
-    Nodes: JSON-lines with fields "key" and "content". Edges: tab-separated
-    src/dst pairs, no header. Both inputs may be gzip-compressed. Duplicate
-    edges are deduplicated; self-loops are dropped (counted on the result);
-    edges naming unknown keys raise :class:`GraphValidationError`.
+    Nodes: JSON-lines records with fields "key" and "content", read by
+    :func:`read_records`. Edges: tab-separated src/dst pairs, no header. Both
+    inputs may be gzip-compressed. Duplicate edges are deduplicated;
+    self-loops are dropped (counted on the result); edges naming unknown keys
+    raise :class:`GraphValidationError`.
     """
-    nodes: Dict[str, str] = {}
     with _open_source(nodes_source) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                key, text = obj["key"], obj["content"]
-            except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON or UTF-8
-                raise GraphFormatError("nodes file", line_no, str(exc)) from exc
-            if not isinstance(key, str) or not key:
-                raise GraphFormatError("nodes file", line_no, "node key must be a non-empty string")
-            if key in nodes:
-                raise GraphValidationError(f"duplicate node key: {key!r}")
-            nodes[key] = text if isinstance(text, str) else str(text)
-
+        nodes = read_records(fh, "nodes file", "node key", "key", "content")
     with _open_source(edges_source) as fh:
         g = CorpusGraph(nodes, _read_edges(fh))
     if g.self_loops_dropped:

@@ -70,6 +70,11 @@ class RankedList:
         """The first ``k`` entries."""
         return self if len(self) <= k else RankedList.of(self.names, self.ids[:k], self.scores[:k])
 
+    def concat(self, tail: "RankedList") -> "RankedList":
+        """This list followed by ``tail``, a list of other nodes over the same key table."""
+        return RankedList.of(self.names, np.concatenate([self.ids, tail.ids]),
+                             np.concatenate([self.scores, tail.scores]))
+
     def extend(self, items: Iterable[Tuple[str, float]]) -> "RankedList":
         """New list with items appended at the tail, preserving order."""
         return RankedList(self.items() + tuple(items))

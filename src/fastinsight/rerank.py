@@ -9,10 +9,10 @@ row-normalized propagation matrix of the induced subgraph.
 from __future__ import annotations
 
 import abc
+import functools
 import json
-import threading
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
@@ -63,30 +63,13 @@ class HashReranker(Reranker):
         rng = np.random.default_rng(seed)
         self.head_weights = 1.0 + 0.01 * rng.standard_normal(dimension)
         self.head_bias = 0.0
-        self._content_cache: Dict[str, np.ndarray] = {}
-        self._query_cache: Dict[str, np.ndarray] = {}
-        self._lock = threading.Lock()
-
-    def _content_vec(self, text: str) -> np.ndarray:
-        with self._lock:
-            v = self._content_cache.get(text)
-        if v is None:
-            v = hash_embed(text, self.latent_dim)
-            with self._lock:
-                self._content_cache[text] = v
-        return v
+        # One memo per reranker, for query and content texts alike; lru_cache
+        # is safe under concurrent calls.
+        self._embed = functools.lru_cache(maxsize=None)(functools.partial(hash_embed, d=dimension))
 
     def extract_latents(self, query: str, contents: Sequence[str]) -> LatentBatch:
-        with self._lock:
-            q = self._query_cache.get(query)
-        if q is None:
-            q = hash_embed(query, self.latent_dim)
-            with self._lock:
-                self._query_cache[query] = q
-        out = np.empty((len(contents), self.latent_dim))
-        for i, text in enumerate(contents):
-            out[i] = q * self._content_vec(text)
-        return out
+        rows = [self._embed(text) for text in contents]
+        return np.array(rows).reshape(len(rows), self.latent_dim) * self._embed(query)
 
     def head_scores(self, latents: LatentBatch) -> np.ndarray:
         return latents @ self.head_weights + self.head_bias

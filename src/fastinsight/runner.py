@@ -14,18 +14,19 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import engine
 from . import metrics as m
 from .embedding import HashEmbedder, RemoteEmbedder, build_index
 from .engine import FastInsightConfig
-from .errors import FastInsightError, GraphFormatError
-from .graph import load_graph, text_lines
+from .errors import FastInsightError
+from .graph import load_graph, read_records
 from .rerank import HashReranker
 
 METHODS = tuple(engine.METHODS)
+ENCODERS = ("hash", "remote")
 STAGES = ("embed", "vs", "rerank", "expand", "metrics")
 WARMUP_QUERIES = 3
 
@@ -50,11 +51,11 @@ class RunConfig:
     queries: str
     qrels: str
     method: str = "fastinsight"
-    batch: int = 10
-    alpha: float = 0.2
-    beta: float = 1.0
-    budget: int = 100
-    k: int = 10
+    batch: int = FastInsightConfig.batch
+    alpha: float = FastInsightConfig.alpha
+    beta: float = FastInsightConfig.beta
+    budget: int = FastInsightConfig.budget
+    k: int = FastInsightConfig.k_report
     encoder: str = "hash"
     remote_url: Optional[str] = None
     embed_dim: int = 256
@@ -62,10 +63,11 @@ class RunConfig:
     jobs: int = 1
     seed: int = 0  # echoed in report.json; no method draws random numbers
 
-    def validate(self) -> None:
+    def validate(self) -> FastInsightConfig:
+        """Check every setting and input path; return the method settings."""
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.encoder not in ("hash", "remote"):
+        if self.encoder not in ENCODERS:
             raise ValueError(f"unknown encoder {self.encoder!r}")
         if self.encoder == "remote" and not self.remote_url:
             raise ValueError("--remote-url is required with the remote encoder")
@@ -76,30 +78,19 @@ class RunConfig:
         if self.method == "re2" and self.budget < self.k:
             raise ValueError(f"re2 needs budget ({self.budget}) >= k ({self.k})")
         # FastInsightConfig re-validates batch/alpha/beta/budget relationships.
-        FastInsightConfig(batch=self.batch, alpha=self.alpha, beta=self.beta,
-                          budget=self.budget, k_report=self.k)
+        ficfg = FastInsightConfig(batch=self.batch, alpha=self.alpha, beta=self.beta,
+                                  budget=self.budget, k_report=self.k)
         for path in (self.nodes, self.edges, self.queries, self.qrels):
             if not os.path.exists(path):
                 raise FileNotFoundError(path)
+        return ficfg
 
 
 def load_queries(path: str) -> List[Tuple[str, str]]:
-    """JSON-lines {"id": ..., "text": ...} with distinct ids, returned sorted by id."""
-    out: Dict[str, str] = {}
+    """JSON-lines {"id": ..., "text": ...} records (:func:`read_records`),
+    returned sorted by id."""
     with open(path, "rb") as fh:
-        for line_no, line in text_lines(fh, "queries file"):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                qid, text = str(obj["id"]), str(obj["text"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise GraphFormatError("queries file", line_no, str(exc)) from exc
-            if qid in out:
-                raise GraphFormatError("queries file", line_no, f"duplicate query id {qid!r}")
-            out[qid] = text
-    return sorted(out.items())
+        return sorted(read_records(fh, "queries file", "query id", "id", "text").items())
 
 
 def _percentile(values: List[float], q: float) -> float:
@@ -115,7 +106,7 @@ def _percentile(values: List[float], q: float) -> float:
 
 def run_eval(cfg: RunConfig) -> Dict:
     """Run the configured method over every query; returns the report dict."""
-    cfg.validate()
+    ficfg = cfg.validate()
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     g = load_graph(cfg.nodes, cfg.edges)
@@ -128,8 +119,6 @@ def run_eval(cfg: RunConfig) -> Dict:
         emb = RemoteEmbedder(cfg.remote_url, cfg.embed_dim)
     index = build_index(g, emb)
     rr = HashReranker(cfg.embed_dim)
-    ficfg = FastInsightConfig(batch=cfg.batch, alpha=cfg.alpha, beta=cfg.beta,
-                              budget=cfg.budget, k_report=cfg.k)
 
     def worker(qid: str, text: str) -> Dict:
         gold = qrels.get(qid)
@@ -148,8 +137,8 @@ def run_eval(cfg: RunConfig) -> Dict:
                 "miss_tr": miss_tr,
                 "r10_vs": m.capped_recall_at_k(trace.vs_top, gold, cfg.k),
                 "recall_at_budget": m.capped_recall_at_k(ret, gold, cfg.budget),
-                "delta_r": m.marginal_recall_gain(ret, trace.vs_top, gold, cfg.budget, cfg.k),
             }
+            row["delta_r"] = row["recall_at_budget"] - row["r10_vs"]
 
         row["_qpt_ms"] = (time.perf_counter() - t_start) * 1000.0
         for s in STAGES:
@@ -234,8 +223,8 @@ def run_sweep(cfg: RunConfig, budgets: Optional[List[int]] = None) -> Dict:
     points = []
     base_out = cfg.out_dir
     for b in budgets:
-        sub = RunConfig(**{**asdict(cfg), "budget": b, "batch": min(cfg.batch, b),
-                           "out_dir": os.path.join(base_out, f"b{b:03d}")})
+        sub = replace(cfg, budget=b, batch=min(cfg.batch, b),
+                      out_dir=os.path.join(base_out, f"b{b:03d}"))
         report = run_eval(sub)
         points.append({
             "budget": b,

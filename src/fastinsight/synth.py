@@ -12,7 +12,9 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
+
+from .graph import CorpusGraph, save_graph
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,7 @@ def synth_bridge(n_clusters: int, cluster_size: int, seed: int, out_dir: str) ->
     rng = random.Random(seed)
     os.makedirs(out_dir, exist_ok=True)
 
-    nodes: List[Tuple[str, str]] = []
+    nodes: Dict[str, str] = {}
     edges: List[Tuple[str, str]] = []
     queries: List[Tuple[str, str]] = []
     qrels: List[Tuple[str, str]] = []
@@ -55,21 +57,21 @@ def synth_bridge(n_clusters: int, cluster_size: int, seed: int, out_dir: str) ->
         for b in range(n_bridge):
             key = f"c{c:03d}_bridge{b}"
             noise = [f"bnoise{c}x{b}w{t}" for t in range(3)]
-            nodes.append((key, " ".join(topic + noise)))
+            nodes[key] = " ".join(topic + noise)
             bridges.append(key)
 
         golds = []
         for gix in range(n_gold):
             key = f"c{c:03d}_gold{gix}"
             words = [f"gold{c}g{gix}w{t}" for t in range(10)]
-            nodes.append((key, " ".join(words)))
+            nodes[key] = " ".join(words)
             golds.append(key)
 
         fillers = []
         for f in range(max(0, n_fill)):
             key = f"c{c:03d}_fill{f}"
             words = [f"fill{c}f{f}w{t}" for t in range(10)]
-            nodes.append((key, " ".join(words)))
+            nodes[key] = " ".join(words)
             fillers.append(key)
 
         # Bridges form a path; every gold attaches to every bridge; fillers
@@ -94,12 +96,7 @@ def synth_bridge(n_clusters: int, cluster_size: int, seed: int, out_dir: str) ->
         queries=os.path.join(out_dir, "queries.jsonl"),
         qrels=os.path.join(out_dir, "qrels.tsv"),
     )
-    with open(paths.nodes, "w", encoding="utf-8") as fh:
-        for key, content in nodes:
-            fh.write(json.dumps({"key": key, "content": content}, sort_keys=True) + "\n")
-    with open(paths.edges, "w", encoding="utf-8") as fh:
-        for src, dst in edges:
-            fh.write(f"{src}\t{dst}\n")
+    save_graph(CorpusGraph(nodes, edges), paths.nodes, paths.edges)  # in key order
     with open(paths.queries, "w", encoding="utf-8") as fh:
         for qid, text in queries:
             fh.write(json.dumps({"id": qid, "text": text}, sort_keys=True) + "\n")

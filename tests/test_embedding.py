@@ -139,6 +139,25 @@ class TestBuildIndex:
         with pytest.raises(CacheInvalidError, match="version 1"):
             build_index(make_graph(["a"], []), HashEmbedder(8), cache_path=str(path))
 
+    def test_every_truncation_is_invalid(self, tmp_path):
+        path = tmp_path / "v.bin"
+        write_cache(str(path), {"a": (content_digest("x"), np.ones(8)),
+                                "bé": (content_digest("y"), np.zeros(8))}, 8)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(CacheInvalidError):
+                read_cache(str(path))
+
+    def test_key_not_utf8_is_invalid(self, tmp_path):
+        path = tmp_path / "v.bin"
+        write_cache(str(path), {"a": (content_digest("x"), np.ones(8))}, 8)
+        data = path.read_bytes()
+        at = len(CACHE_MAGIC) + 16 + 4  # the key's one byte
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        with pytest.raises(CacheInvalidError, match="UTF-8"):
+            read_cache(str(path))
+
     def test_encoder_failure_names_node(self):
         class Boom:
             dimension = 16
@@ -229,6 +248,15 @@ class TestVectorSearch:
         vectors["b"][3] = bad
         with pytest.raises(ValueError, match="'b' has a non-finite entry"):
             EmbeddingIndex(vectors, 8, normalize=normalize)
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 6])  # below and at or past the index size
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad, k):
+        index = self._index({f"n{i}": np.eye(8)[i] for i in range(4)})
+        q = np.ones(8)
+        q[2] = bad
+        with pytest.raises(ValueError, match="query vector has a non-finite entry"):
+            vector_search(q, index, k)
 
     def test_empty_index_rejected(self):
         index = EmbeddingIndex({}, 8)

@@ -1,5 +1,7 @@
 import random
+import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,3 +325,16 @@ class TestHandBuiltIndex:
         want, want_trace = fastinsight_retrieve(q, g, built, emb, rr, cfg)
         assert got.items() == want.items()
         assert [s.items() for s in got_trace.snapshots] == [s.items() for s in want_trace.snapshots]
+        # Every method, with k_report cut to the budget so that re2 can run.
+        cfg = replace(cfg, k_report=min(cfg.k_report, cfg.budget))
+        for name, method in METHODS.items():
+            try:
+                want = method(q, g, built, emb, rr, cfg)[0]
+            except ValueError as exc:  # ppr on a seed of negative similarity
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    method(q, g, hand, emb, rr, cfg)
+                continue
+            got = method(q, g, hand, emb, rr, cfg)[0]
+            assert got.items() == want.items(), name
+            if name == "ppr":
+                assert got.names is g.node_keys

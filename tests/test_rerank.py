@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from fastinsight import (
     build_propagation,
     fuse_latents,
     granker,
+    hash_embed,
     rerank_pool,
 )
 from fastinsight.errors import RerankerError
@@ -322,6 +325,42 @@ class TestGRankerState:
         g = make_graph(["a", "b"], [], contents={"a": "a", "b": "b"})
         with pytest.raises(RerankerError, match="1 latent rows for 2 documents"):
             granker("q", ranked("a", "b"), g, 0.5, Short({"a": [1.0], "b": [2.0]}))
+
+
+class TestHashReranker:
+    def test_threads_share_one_reranker(self):
+        # Four threads extract overlapping batches through one reranker's
+        # memo; every row is the product of the two hash embeddings.
+        rr = HashReranker(32)
+        texts = [f"doc {i} word{i % 5}" for i in range(20)]
+        got, errors = {}, []
+
+        def work(t):
+            try:
+                for i in range(30):
+                    query, batch = f"query {i % 3}", texts[(t + i) % 10:][:8]
+                    got[t, i] = (query, batch, rr.extract_latents(query, batch))
+            except Exception as exc:  # noqa: BLE001 - reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == [] and len(got) == 120
+        for query, batch, latents in got.values():
+            want = np.stack([hash_embed(query, 32) * hash_embed(c, 32) for c in batch])
+            assert latents.tobytes() == want.tobytes()
+
+    def test_empty_batch(self):
+        assert HashReranker(16).extract_latents("q", []).shape == (0, 16)
 
 
 class TestAffineHead:

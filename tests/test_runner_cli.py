@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from fastinsight import (
     engine,
     load_graph,
     load_qrels,
+    save_graph,
     synth_bridge,
     vector_search,
 )
@@ -42,6 +44,12 @@ class TestSynth:
         for pa, pb in zip((a.nodes, a.edges, a.queries, a.qrels),
                           (b.nodes, b.edges, b.queries, b.qrels)):
             assert open(pa, "rb").read() == open(pb, "rb").read()
+
+    def test_graph_files_round_trip_byte_identical(self, dataset, tmp_path):
+        nodes, edges = tmp_path / "nodes.jsonl", tmp_path / "edges.tsv"
+        save_graph(load_graph(dataset.nodes, dataset.edges), str(nodes), str(edges))
+        assert nodes.read_bytes() == Path(dataset.nodes).read_bytes()
+        assert edges.read_bytes() == Path(dataset.edges).read_bytes()
 
     def test_gold_is_one_hop_from_a_bridge(self, dataset):
         g = load_graph(dataset.nodes, dataset.edges)
@@ -283,8 +291,17 @@ class TestCli:
         ("qrels", b"\n\xff\tn\t1\n", "qrels file, line 2"),
         ("queries", b'{"id": "q1", "text": "a"}\n\n{"id": "q1", "text": "b"}\n',
          "queries file, line 3: duplicate query id 'q1'"),
+        ("queries", b'{"id": null, "text": "a"}\n', "queries file, line 1: query id"),
+        ("queries", b'{"id": "q0", "text": "a"}\n{"id": 1, "text": "a"}\n',
+         "queries file, line 2: query id"),
+        ("queries", b'{"id": "q1", "text": null}\n', "queries file, line 1: 'text'"),
+        ("nodes", b'{"key": "a", "content": null}\n', "nodes file, line 1: 'content'"),
+        ("nodes", b'{"key": "a", "content": "x"}\n{"key": "a", "content": "y"}\n',
+         "nodes file, line 2: duplicate node key 'a'"),
     ], ids=["edges-columns", "edges-utf8", "nodes-utf8", "queries-not-object",
-            "queries-utf8", "qrels-utf8", "queries-duplicate-id"])
+            "queries-utf8", "qrels-utf8", "queries-duplicate-id", "queries-null-id",
+            "queries-numeric-id", "queries-null-text", "nodes-null-content",
+            "nodes-duplicate-key"])
     def test_malformed_file_is_an_error_line(self, dataset, tmp_path, which, data, where):
         files = {"nodes": dataset.nodes, "edges": dataset.edges,
                  "queries": dataset.queries, "qrels": dataset.qrels}
