@@ -26,7 +26,6 @@ from .graph import CorpusGraph, frontier, load_graph, personalized_pagerank, ppr
 from .metrics import (
     capped_recall_at_k,
     load_qrels,
-    marginal_recall_gain,
     miss_tr,
     ndcg_at_k,
     recall_uncapped,
@@ -76,7 +75,6 @@ __all__ = [
     "hash_embed",
     "load_graph",
     "load_qrels",
-    "marginal_recall_gain",
     "miss_tr",
     "ndcg_at_k",
     "personalized_pagerank",

@@ -146,13 +146,20 @@ def baseline_ppr(q: str, g: CorpusGraph, index: EmbeddingIndex, emb: Embedder,
                  rr: Reranker, cfg: FastInsightConfig) -> Tuple[RankedList, RetrievalTrace]:
     """Personalized-PageRank baseline: ``batch`` vector-search seeds, then the
     best-scored non-seed nodes up to ``budget``, over ``g.node_keys``. Seeds
-    that fill the budget are returned without a PageRank run."""
+    that fill the budget are returned without a PageRank run.
+
+    PageRank restarts on the seeds' scores clipped at 0, or uniformly when no
+    seed scores above 0; the returned seeds keep their own scores."""
     seeds, trace = _seed(q, index, emb, cfg.batch, cfg.k_report)
     seeds = g.own(seeds)
     if len(seeds) >= cfg.budget:
         return seeds, trace
+    weights = np.maximum(seeds.scores, 0.0)
+    if not weights.any():
+        weights = np.ones(len(seeds))
     with trace.stage("expand"):
-        expanded = personalized_pagerank(g, seeds, k=cfg.budget - len(seeds))
+        expanded = personalized_pagerank(g, RankedList.of(g.node_keys, seeds.ids, weights),
+                                         k=cfg.budget - len(seeds))
     return seeds.concat(expanded), trace
 
 

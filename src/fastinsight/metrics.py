@@ -13,7 +13,7 @@ import math
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .errors import GraphFormatError, UnknownNodeError
-from .graph import CorpusGraph, text_lines
+from .graph import CorpusGraph, Source, _open_source, text_lines
 from .ranked import RankedList
 
 RetLike = Union[RankedList, Iterable[str]]
@@ -193,21 +193,11 @@ def miss_tr(g: CorpusGraph, ret: RetLike, oracle: Set[str]) -> float:
     return tr_and_miss_tr(g, ret, oracle)[1]
 
 
-def marginal_recall_gain(
-    final: RetLike,
-    initial_vs: RetLike,
-    oracle: Set[str],
-    k_total: int,
-    k_vs: int,
-) -> float:
-    """Capped recall of the final list at k_total minus the seed list at k_vs."""
-    return capped_recall_at_k(final, oracle, k_total) - capped_recall_at_k(initial_vs, oracle, k_vs)
-
-
-def load_qrels(path: str) -> Dict[str, Set[str]]:
-    """Read tab-separated (query-id, node-key, relevance) rows; relevance > 0 is gold."""
+def load_qrels(source: Source) -> Dict[str, Set[str]]:
+    """Read tab-separated (query-id, node-key, relevance) rows; relevance > 0 is
+    gold. The file may be gzip-compressed."""
     qrels: Dict[str, Set[str]] = {}
-    with open(path, "rb") as fh:
+    with _open_source(source) as fh:
         for line_no, line in text_lines(fh, "qrels file"):
             if not line:
                 continue

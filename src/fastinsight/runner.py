@@ -15,14 +15,16 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import engine
 from . import metrics as m
 from .embedding import HashEmbedder, RemoteEmbedder, build_index
 from .engine import FastInsightConfig
 from .errors import FastInsightError
-from .graph import load_graph, read_records
+from .graph import Source, _open_source, load_graph, read_records
 from .rerank import HashReranker
 
 METHODS = tuple(engine.METHODS)
@@ -34,6 +36,7 @@ METRIC_COLUMNS = (
     "r10", "ndcg10", "recall_uncapped", "tr", "miss_tr",
     "r10_vs", "recall_at_budget", "delta_r",
 )
+TIMING_COLUMNS = ("qpt_ms",) + tuple(f"{s}_ms" for s in STAGES)
 
 
 class RunError(FastInsightError):
@@ -86,22 +89,11 @@ class RunConfig:
         return ficfg
 
 
-def load_queries(path: str) -> List[Tuple[str, str]]:
+def load_queries(source: Source) -> List[Tuple[str, str]]:
     """JSON-lines {"id": ..., "text": ...} records (:func:`read_records`),
-    returned sorted by id."""
-    with open(path, "rb") as fh:
+    returned sorted by id. The file may be gzip-compressed."""
+    with _open_source(source) as fh:
         return sorted(read_records(fh, "queries file", "query id", "id", "text").items())
-
-
-def _percentile(values: List[float], q: float) -> float:
-    if not values:
-        return math.nan
-    ordered = sorted(values)
-    pos = (len(ordered) - 1) * q
-    lo, hi = int(math.floor(pos)), int(math.ceil(pos))
-    if lo == hi:
-        return ordered[lo]
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
 def run_eval(cfg: RunConfig) -> Dict:
@@ -140,33 +132,30 @@ def run_eval(cfg: RunConfig) -> Dict:
             }
             row["delta_r"] = row["recall_at_budget"] - row["r10_vs"]
 
-        row["_qpt_ms"] = (time.perf_counter() - t_start) * 1000.0
+        row["qpt_ms"] = (time.perf_counter() - t_start) * 1000.0
         for s in STAGES:
-            row[f"_{s}_ms"] = trace.stage_seconds.get(s, 0.0) * 1000.0
+            row[f"{s}_ms"] = trace.stage_seconds.get(s, 0.0) * 1000.0
         return row
 
-    def safe_worker(qid: str, text: str) -> Dict:
+    def safe_worker(query: Tuple[str, str]) -> Dict:
         try:
-            return worker(qid, text)
+            return worker(*query)
         except Exception as exc:  # noqa: BLE001 - rewrap with the query id
-            raise RunError(qid, exc) from exc
+            raise RunError(query[0], exc) from exc
 
+    # map yields rows in query-id order; after a failure it cancels the queries
+    # not yet started, and leaving the pool waits for the running ones.
     rows: List[Dict] = []
     error: Optional[RunError] = None
-    pool = ThreadPoolExecutor(max_workers=cfg.jobs)
-    try:
-        for fut in [pool.submit(safe_worker, qid, text) for qid, text in queries]:
-            rows.append(fut.result())
-    except RunError as exc:
-        # Flush whatever completed, then abort with the failing query id.
-        error = exc
-    finally:
-        # After a failure, the queries that have not started never run.
-        pool.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        try:
+            for row in pool.map(safe_worker, queries):
+                rows.append(row)
+        except RunError as exc:  # flush the rows before it, then abort with its id
+            error = exc
 
-    rows.sort(key=lambda r: r["query_id"])
-    _write_per_query(os.path.join(cfg.out_dir, "per_query.csv"), rows)
-    _write_timings(os.path.join(cfg.out_dir, "timings.csv"), rows)
+    _write_csv(os.path.join(cfg.out_dir, "per_query.csv"), rows, METRIC_COLUMNS, ".9f")
+    _write_csv(os.path.join(cfg.out_dir, "timings.csv"), rows, TIMING_COLUMNS, ".3f")
     report = _build_report(cfg, rows, partial=error is not None)
     with open(os.path.join(cfg.out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -176,26 +165,18 @@ def run_eval(cfg: RunConfig) -> Dict:
     return report
 
 
-def _write_per_query(path: str, rows: List[Dict]) -> None:
+def _write_csv(path: str, rows: List[Dict], columns: Sequence[str], fmt: str) -> None:
+    """One line per row: its query id, then ``columns`` in format ``fmt``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("query_id",) + METRIC_COLUMNS)
+        writer.writerow(("query_id", *columns))
         for row in rows:
-            writer.writerow([row["query_id"]] + [f"{row[c]:.9f}" for c in METRIC_COLUMNS])
-
-
-def _write_timings(path: str, rows: List[Dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "qpt_ms"] + [f"{s}_ms" for s in STAGES])
-        for row in rows:
-            writer.writerow([row["query_id"], f"{row['_qpt_ms']:.3f}"]
-                            + [f"{row[f'_{s}_ms']:.3f}" for s in STAGES])
+            writer.writerow([row["query_id"]] + [format(row[c], fmt) for c in columns])
 
 
 def _build_report(cfg: RunConfig, rows: List[Dict], partial: bool) -> Dict:
     timed = rows[WARMUP_QUERIES:] if len(rows) > WARMUP_QUERIES else rows
-    qpts = [r["_qpt_ms"] for r in timed]
+    qpts = [r["qpt_ms"] for r in timed]
     report = {
         "config": asdict(cfg),
         "n_queries": len(rows),
@@ -207,9 +188,9 @@ def _build_report(cfg: RunConfig, rows: List[Dict], partial: bool) -> Dict:
         "timing": {
             "warmup_excluded": len(rows) - len(timed),
             "qpt_ms_mean": sum(qpts) / len(qpts) if qpts else math.nan,
-            "qpt_ms_p95": _percentile(qpts, 0.95),
+            "qpt_ms_p95": float(np.percentile(qpts, 95)) if qpts else math.nan,
             "stage_ms_mean": {
-                s: (sum(r[f"_{s}_ms"] for r in timed) / len(timed) if timed else math.nan)
+                s: (sum(r[f"{s}_ms"] for r in timed) / len(timed) if timed else math.nan)
                 for s in STAGES
             },
         },

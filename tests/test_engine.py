@@ -1,5 +1,4 @@
 import random
-import re
 from collections import Counter
 from dataclasses import replace
 
@@ -14,11 +13,13 @@ from fastinsight import (
     HashEmbedder,
     HashReranker,
     RankedList,
+    baseline_ppr,
     baseline_re2,
     baseline_vs,
     build_index,
     fastinsight_retrieve,
     granker,
+    personalized_pagerank,
     rerank_pool,
     stex,
     stex_scores,
@@ -120,7 +121,7 @@ class TestLoop:
             if len(adds) == 0:
                 break
             take = min(len(ret) + 10, 40) - len(ret)
-            ret = granker(q, ret.extend(adds.items()[:take]), g, 0.3, rr)
+            ret = granker(q, ret.concat(adds.head(take)), g, 0.3, rr)
         assert got.items() == ret.items()
 
     def test_each_document_extracted_once(self, rich):
@@ -214,6 +215,28 @@ class TestBaselines:
                                           FastInsightConfig(batch=1, budget=5))
         assert list(ret.keys()) == ["only"]
 
+    @pytest.mark.parametrize("q, weight", [
+        ("node n04 n04", lambda s: np.maximum(s, 0.0)),  # n06's similarity is negative
+        ("!!!", np.ones_like),  # no token: every seed scores 0
+    ])
+    def test_ppr_seed_rule(self, q, weight):
+        # PageRank restarts on the seeds' scores clipped at 0, uniformly when
+        # none is positive; the list keeps the seeds' own scores. n07 repeats
+        # n06's text, so it ties n06 and is the one node left out of the seeds.
+        keys = [f"n{i:02d}" for i in range(8)]
+        g = make_graph(keys, list(zip(keys, keys[1:])), contents={"n07": "text for node n06"})
+        emb, rr = HashEmbedder(16), HashReranker(16)
+        index = build_index(g, emb)
+        cfg = FastInsightConfig(batch=7, budget=8)
+        got, _ = baseline_ppr(q, g, index, emb, rr, cfg)
+        seeds = vector_search(emb.encode_query(q), index, 7)
+        assert "n07" not in seeds.keys()
+        assert q == "!!!" or seeds.score("n06") < 0
+        assert q != "!!!" or not seeds.scores.any()
+        restart = RankedList.of(seeds.names, seeds.ids, weight(seeds.scores))
+        want = seeds.concat(personalized_pagerank(g, restart, k=1))
+        assert got.items() == want.items() and got.keys()[-1] == "n07"
+
 
 @pytest.mark.parametrize("method, stages", [
     ("vs", {"embed", "vs"}),
@@ -285,7 +308,7 @@ def test_engine_matches_stateless_granker_loop(case, q):
             if len(adds) == 0:
                 break
             take = min(len(ret) + cfg.batch, cfg.budget) - len(ret)
-            ret = granker(q, ret.extend(adds.items()[:take]), g, cfg.alpha, rr)
+            ret = granker(q, ret.concat(adds.head(take)), g, cfg.alpha, rr)
         return ret.items()
 
     assert engine() == stateless_loop()
@@ -328,12 +351,7 @@ class TestHandBuiltIndex:
         # Every method, with k_report cut to the budget so that re2 can run.
         cfg = replace(cfg, k_report=min(cfg.k_report, cfg.budget))
         for name, method in METHODS.items():
-            try:
-                want = method(q, g, built, emb, rr, cfg)[0]
-            except ValueError as exc:  # ppr on a seed of negative similarity
-                with pytest.raises(ValueError, match=re.escape(str(exc))):
-                    method(q, g, hand, emb, rr, cfg)
-                continue
+            want = method(q, g, built, emb, rr, cfg)[0]
             got = method(q, g, hand, emb, rr, cfg)[0]
             assert got.items() == want.items(), name
             if name == "ppr":

@@ -18,6 +18,7 @@ from fastinsight import (
     RankedList,
     frontier,
     load_graph,
+    load_qrels,
     personalized_pagerank,
     ppr_scores,
     save_graph,
@@ -29,8 +30,13 @@ from fastinsight.errors import (
     UnknownNodeError,
 )
 from fastinsight.graph import induced
+from fastinsight.runner import load_queries
 
 from conftest import frontier_keys, make_graph, random_graph, ranked
+
+
+_QUERIES = b'{"id": "q1", "text": "find a"}\n'
+_QRELS = b"q1\ta\t1\nq1\tb\t0\n"
 
 
 def _nodes_bytes(keys):
@@ -74,16 +80,24 @@ class TestLoad:
         ez = gzip.compress(_edges_bytes([("a", "b")]))
         g = load_graph(nz, ez)
         assert g.n_edges == 1
+        # Queries and qrels go through the same opener.
+        assert load_queries(gzip.compress(_QUERIES)) == [("q1", "find a")]
+        assert load_qrels(gzip.compress(_QRELS)) == {"q1": {"a"}}
+        assert load_qrels(io.BytesIO(_QRELS)) == {"q1": {"a"}}
 
     def test_gzip_path_closes_files(self, tmp_path):
-        np_, ep = tmp_path / "n.jsonl.gz", tmp_path / "e.tsv.gz"
-        np_.write_bytes(gzip.compress(_nodes_bytes(["a", "b"])))
-        ep.write_bytes(gzip.compress(_edges_bytes([("a", "b")])))
+        paths = [tmp_path / name for name in ("n.jsonl.gz", "e.tsv.gz", "q.jsonl.gz", "r.tsv.gz")]
+        blobs = (_nodes_bytes(["a", "b"]), _edges_bytes([("a", "b")]), _QUERIES, _QRELS)
+        for path, blob in zip(paths, blobs):
+            path.write_bytes(gzip.compress(blob))
+        np_, ep, qp, rp = map(str, paths)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            g = load_graph(str(np_), str(ep))
+            g = load_graph(np_, ep)
+            queries, qrels = load_queries(qp), load_qrels(rp)
             gc.collect()
         assert g.n_edges == 1
+        assert queries == [("q1", "find a")] and qrels == {"q1": {"a"}}
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_caller_stream_left_open(self):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from fastinsight import (
     capped_recall_at_k,
     load_qrels,
-    marginal_recall_gain,
     miss_tr,
     ndcg_at_k,
     recall_uncapped,
@@ -184,12 +183,6 @@ class TestSetMetrics:
                    lambda: ndcg_at_k(["a"], set(), 1)):
             with pytest.raises(ValueError):
                 fn()
-
-    def test_marginal_recall_gain(self):
-        final = ranked(*[f"n{i}" for i in range(9)], "gold")
-        seeds = ranked(*[f"n{i}" for i in range(10)])
-        assert marginal_recall_gain(final, seeds, {"gold"}, 10, 10) == pytest.approx(1.0)
-        assert marginal_recall_gain(seeds, final, {"gold"}, 10, 10) == pytest.approx(-1.0)
 
 
 class TestUncertainty:

@@ -4,6 +4,7 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fastinsight import (
@@ -19,7 +20,9 @@ from fastinsight import (
     synth_bridge,
     vector_search,
 )
-from fastinsight.runner import METHODS, RunConfig, RunError, load_queries, run_eval, run_sweep
+from fastinsight.runner import (
+    METHODS, WARMUP_QUERIES, RunConfig, RunError, load_queries, run_eval, run_sweep,
+)
 
 from conftest import run_cli
 
@@ -43,7 +46,7 @@ class TestSynth:
         b = synth_bridge(3, 20, seed=5, out_dir=str(tmp_path / "b"))
         for pa, pb in zip((a.nodes, a.edges, a.queries, a.qrels),
                           (b.nodes, b.edges, b.queries, b.qrels)):
-            assert open(pa, "rb").read() == open(pb, "rb").read()
+            assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
     def test_graph_files_round_trip_byte_identical(self, dataset, tmp_path):
         nodes, edges = tmp_path / "nodes.jsonl", tmp_path / "edges.tsv"
@@ -109,7 +112,7 @@ class TestRunEval:
 
     def test_missing_gold_aborts_with_query_id(self, dataset, tmp_path):
         # rewrite qrels to drop one query's gold rows
-        lines = open(dataset.qrels).read().splitlines()
+        lines = Path(dataset.qrels).read_text().splitlines()
         kept = [ln for ln in lines if not ln.startswith("q0002\t")]
         bad = tmp_path / "qrels.tsv"
         bad.write_text("\n".join(kept) + "\n")
@@ -121,11 +124,11 @@ class TestRunEval:
         assert report["partial"] is True
 
     def test_inputs_not_mutated(self, dataset, tmp_path):
-        before = {p: open(p, "rb").read()
+        before = {p: Path(p).read_bytes()
                   for p in (dataset.nodes, dataset.edges, dataset.queries, dataset.qrels)}
         run_eval(_cfg(dataset, tmp_path / "ro"))
         for p, blob in before.items():
-            assert open(p, "rb").read() == blob
+            assert Path(p).read_bytes() == blob
 
     def test_validation_errors(self, dataset, tmp_path):
         with pytest.raises(ValueError):
@@ -198,6 +201,16 @@ class TestOneRetrievalPerQuery:
         with open(tmp_path / "timings.csv") as fh:
             assert next(csv.reader(fh)) == ["query_id", "qpt_ms", "embed_ms", "vs_ms",
                                             "rerank_ms", "expand_ms", "metrics_ms"]
+
+    def test_qpt_p95_is_the_percentile_of_timed_queries(self, tmp_path):
+        ds = synth_bridge(n_clusters=12, cluster_size=10, seed=3, out_dir=str(tmp_path / "d"))
+        report = run_eval(_cfg(ds, tmp_path / "r", method="vs"))
+        with open(tmp_path / "r" / "timings.csv") as fh:
+            qpts = [float(r["qpt_ms"]) for r in csv.DictReader(fh)]
+        timed = qpts[WARMUP_QUERIES:]
+        assert len(timed) == 9 and report["timing"]["warmup_excluded"] == WARMUP_QUERIES
+        # timings.csv rounds each time to 0.001 ms, so the two differ by half that at most
+        assert report["timing"]["qpt_ms_p95"] == pytest.approx(np.percentile(timed, 95), abs=6e-4)
 
     def test_r10_vs_uses_k(self, dataset, tmp_path):
         # Gold is each query's 7th vector-search hit: in the top 10, not the top 5.
