@@ -22,10 +22,10 @@ from .engine import (
     fastinsight_retrieve,
 )
 from .expand import StexScore, stex, stex_scores
-from .graph import CorpusGraph, frontier, load_graph, personalized_pagerank, ppr_scores, save_graph
+from .graph import (CorpusGraph, frontier, load_graph, load_qrels, personalized_pagerank,
+                     ppr_scores, save_graph)
 from .metrics import (
     capped_recall_at_k,
-    load_qrels,
     miss_tr,
     ndcg_at_k,
     recall_uncapped,

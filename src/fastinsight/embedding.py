@@ -76,13 +76,11 @@ class HashEmbedder:
 
     def __init__(self, dimension: int = 256):
         self.dimension = dimension
-        self.calls = 0  # node-encode counter, used by cache tests
 
     def encode_query(self, text: str) -> np.ndarray:
         return hash_embed(text, self.dimension)
 
     def encode_node(self, text: str) -> np.ndarray:
-        self.calls += 1
         return hash_embed(text, self.dimension)
 
     def encode_nodes(self, texts: Sequence[str]) -> List[np.ndarray]:
@@ -264,8 +262,11 @@ def read_cache(path: str) -> Tuple[CacheRecords, int]:
     """Read a binary vector cache; returns (records, dimension). A file that
     ends early or holds a key that is not UTF-8 raises :class:`CacheInvalidError`."""
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
+
         def take(size: int) -> bytes:
-            buf = fh.read(size)
+            # A size read from the file that runs past its end is neither read nor allocated.
+            buf = fh.read(size) if size <= end - fh.tell() else b""
             if len(buf) != size:
                 raise CacheInvalidError(f"truncated cache {path!r}")
             return buf

@@ -51,7 +51,6 @@ class RetrievalTrace:
     hits (``vs_top``), each iteration's list, call counts and stage timings."""
 
     snapshots: List[RankedList] = field(default_factory=list)
-    vs_calls: int = 0
     granker_calls: int = 0
     stex_calls: int = 0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
@@ -80,7 +79,6 @@ def _seed(q: str, index: EmbeddingIndex, emb: Embedder, k: int,
         top = vector_search(trace.query_vector, index, max(k, k_report))
         trace.vs_top = top.head(k_report)
         ret = top.head(k)
-    trace.vs_calls += 1
     return ret, trace
 
 

@@ -1,6 +1,6 @@
-"""Corpus graph storage, topology queries, and the PageRank search baseline.
+"""Dataset readers, corpus graph storage, topology queries, and the PageRank baseline.
 
-Edges are directed on disk, but every reader (degrees, frontiers,
+Edges are directed on disk, but every operator (degrees, frontiers,
 propagation matrices, path metrics, PageRank) sees the undirected graph:
 two nodes are neighbors when an edge joins them in either direction. The
 graph is stored as integer CSR over node ids in ascending key order, and
@@ -17,7 +17,7 @@ import logging
 from array import array
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -216,33 +216,57 @@ def read_records(fh: BinaryIO, source: str, noun: str, key: str, text: str) -> D
     return out
 
 
-def _read_edges(fh: BinaryIO) -> Iterator[Tuple[str, str]]:
-    """(src, dst) key pairs of an edges file, one line at a time."""
-    for line_no, line in text_lines(fh, "edges file"):
+def tab_rows(fh: BinaryIO, source: str, width: int) -> Iterator[Tuple[int, List[str]]]:
+    """(line number, fields) of each non-empty line of a :func:`text_lines`
+    file; a line that is not exactly ``width`` tab-separated fields, each
+    non-empty, raises :class:`GraphFormatError`."""
+    for line_no, line in text_lines(fh, source):
         if not line:
             continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise GraphFormatError("edges file", line_no, f"expected two tab-separated keys, got {line!r}")
-        yield parts[0], parts[1]
+        fields = line.split("\t")
+        if len(fields) != width or "" in fields:
+            raise GraphFormatError(source, line_no, f"not {width} non-empty tab-separated fields: {line!r}")
+        yield line_no, fields
 
 
 def load_graph(nodes_source: Source, edges_source: Source) -> CorpusGraph:
     """Load and validate a corpus graph.
 
     Nodes: JSON-lines records with fields "key" and "content", read by
-    :func:`read_records`. Edges: tab-separated src/dst pairs, no header. Both
-    inputs may be gzip-compressed. Duplicate edges are deduplicated;
-    self-loops are dropped (counted on the result); edges naming unknown keys
-    raise :class:`GraphValidationError`.
+    :func:`read_records`. Edges: src/dst key pairs, read by :func:`tab_rows`,
+    no header. Both inputs may be gzip-compressed. Duplicate edges are
+    deduplicated; self-loops are dropped (counted on the result); edges
+    naming unknown keys raise :class:`GraphValidationError`.
     """
     with _open_source(nodes_source) as fh:
         nodes = read_records(fh, "nodes file", "node key", "key", "content")
     with _open_source(edges_source) as fh:
-        g = CorpusGraph(nodes, _read_edges(fh))
+        g = CorpusGraph(nodes, (pair for _, pair in tab_rows(fh, "edges file", 2)))
     if g.self_loops_dropped:
         logger.warning("dropped %d self-loop edge(s) during load", g.self_loops_dropped)
     return g
+
+
+def load_queries(source: Source) -> List[Tuple[str, str]]:
+    """JSON-lines {"id": ..., "text": ...} records (:func:`read_records`),
+    returned sorted by id. The file may be gzip-compressed."""
+    with _open_source(source) as fh:
+        return sorted(read_records(fh, "queries file", "query id", "id", "text").items())
+
+
+def load_qrels(source: Source) -> Dict[str, Set[str]]:
+    """Tab-separated (query id, node key, relevance) rows (:func:`tab_rows`);
+    relevance > 0 is gold. The file may be gzip-compressed."""
+    qrels: Dict[str, Set[str]] = {}
+    with _open_source(source) as fh:
+        for line_no, (qid, key, rel) in tab_rows(fh, "qrels file", 3):
+            try:
+                relevance = float(rel)
+            except ValueError as exc:
+                raise GraphFormatError("qrels file", line_no, f"bad relevance {rel!r}") from exc
+            if relevance > 0:
+                qrels.setdefault(qid, set()).add(key)
+    return qrels
 
 
 def save_graph(g: CorpusGraph, nodes_path: str, edges_path: str) -> None:

@@ -12,8 +12,8 @@ import heapq
 import math
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .errors import GraphFormatError, UnknownNodeError
-from .graph import CorpusGraph, Source, _open_source, text_lines
+from .errors import UnknownNodeError
+from .graph import CorpusGraph
 from .ranked import RankedList
 
 RetLike = Union[RankedList, Iterable[str]]
@@ -191,24 +191,3 @@ def miss_tr(g: CorpusGraph, ret: RetLike, oracle: Set[str]) -> float:
     if oracle <= set(_ret_keys(ret)):
         return 0.0
     return tr_and_miss_tr(g, ret, oracle)[1]
-
-
-def load_qrels(source: Source) -> Dict[str, Set[str]]:
-    """Read tab-separated (query-id, node-key, relevance) rows; relevance > 0 is
-    gold. The file may be gzip-compressed."""
-    qrels: Dict[str, Set[str]] = {}
-    with _open_source(source) as fh:
-        for line_no, line in text_lines(fh, "qrels file"):
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise GraphFormatError("qrels file", line_no, f"expected 3 columns, got {len(parts)}")
-            qid, key, rel = parts
-            try:
-                relevance = float(rel)
-            except ValueError as exc:
-                raise GraphFormatError("qrels file", line_no, f"bad relevance {rel!r}") from exc
-            if relevance > 0:
-                qrels.setdefault(qid, set()).add(key)
-    return qrels

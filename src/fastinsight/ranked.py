@@ -34,13 +34,14 @@ class RankedList:
     def top(cls, names: Sequence[str], ids: np.ndarray, scores: np.ndarray,
             k: Optional[int] = None) -> "RankedList":
         """The best ``k`` of nodes ``ids`` (all by default) by the one rule for
-        ranked results, (score descending, id ascending): over an ascending
-        table, (score descending, key ascending)."""
+        ranked results, (score descending, id ascending), NaN scores last:
+        over an ascending table, (score descending, key ascending)."""
         n = len(ids)
         k = n if k is None else max(min(k, n), 0)
         at = np.arange(n)
         if 0 < k < n:  # every entry that ties the k-th best score, then the exact order
-            at = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+            best = np.where(np.isnan(scores), -np.inf, scores)  # NaN ranks last, as in the sort
+            at = np.flatnonzero(best >= np.partition(best, n - k)[n - k])
         at = at[np.lexsort((ids[at], -scores[at]))][:k]
         return cls.of(names, ids[at], scores[at])
 

@@ -58,9 +58,9 @@ class HashReranker(Reranker):
     non-trivial head.
     """
 
-    def __init__(self, dimension: int = 256, seed: int = 7):
+    def __init__(self, dimension: int = 256):
         self.latent_dim = dimension
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(7)
         self.head_weights = 1.0 + 0.01 * rng.standard_normal(dimension)
         self.head_bias = 0.0
         # One memo per reranker, for query and content texts alike; lru_cache
@@ -80,11 +80,27 @@ class AffineHead:
 
     Single layer: {"weights": [[...], ...], "bias": [...]}.
     Two layers:   {"layers": [{"weights": ..., "bias": ...}, {...}]}.
-    The final layer must produce a single output per row.
+    Weights are finite (outputs x inputs) matrices that chain, each bias is
+    finite with one entry per output, and the final layer has one output; a
+    head that breaks a rule raises ``ValueError`` naming the layer.
     """
 
     def __init__(self, layers: List[tuple]):
         self.layers = [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)) for w, b in layers]
+        if not self.layers:
+            raise ValueError("affine head has no layer")
+        for i, (w, b) in enumerate(self.layers):
+            if w.ndim != 2:
+                raise ValueError(f"layer {i}: weights of shape {w.shape} are not a matrix")
+            if b.shape != (len(w),):
+                raise ValueError(f"layer {i}: bias of shape {b.shape} for {len(w)} outputs")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError(f"layer {i}: a weight or bias is not finite")
+            if i and w.shape[1] != len(self.layers[i - 1][0]):
+                raise ValueError(f"layer {i}: {w.shape[1]} inputs after {len(self.layers[i - 1][0])} outputs")
+        n_out = len(self.layers[-1][0])
+        if n_out != 1:
+            raise ValueError(f"layer {len(self.layers) - 1}: the final layer has {n_out} outputs, not 1")
 
     @classmethod
     def from_file(cls, path: str) -> "AffineHead":
@@ -96,7 +112,7 @@ class AffineHead:
     def __call__(self, latents: LatentBatch) -> np.ndarray:
         x = latents
         for i, (w, b) in enumerate(self.layers):
-            x = x @ np.atleast_2d(w).T + b
+            x = x @ w.T + b
             if i < len(self.layers) - 1:
                 x = np.maximum(x, 0.0)
         return x.reshape(len(latents))

@@ -24,7 +24,7 @@ from . import metrics as m
 from .embedding import HashEmbedder, RemoteEmbedder, build_index
 from .engine import FastInsightConfig
 from .errors import FastInsightError
-from .graph import Source, _open_source, load_graph, read_records
+from .graph import load_graph, load_qrels, load_queries
 from .rerank import HashReranker
 
 METHODS = tuple(engine.METHODS)
@@ -89,20 +89,13 @@ class RunConfig:
         return ficfg
 
 
-def load_queries(source: Source) -> List[Tuple[str, str]]:
-    """JSON-lines {"id": ..., "text": ...} records (:func:`read_records`),
-    returned sorted by id. The file may be gzip-compressed."""
-    with _open_source(source) as fh:
-        return sorted(read_records(fh, "queries file", "query id", "id", "text").items())
-
-
 def run_eval(cfg: RunConfig) -> Dict:
     """Run the configured method over every query; returns the report dict."""
     ficfg = cfg.validate()
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     g = load_graph(cfg.nodes, cfg.edges)
-    qrels = m.load_qrels(cfg.qrels)
+    qrels = load_qrels(cfg.qrels)
     queries = load_queries(cfg.queries)
 
     if cfg.encoder == "hash":

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import fastinsight
-from fastinsight import CorpusGraph, HashEmbedder, HashReranker, RankedList, frontier
+from fastinsight import CorpusGraph, HashEmbedder, HashReranker, RankedList, engine, frontier, vector_search
 
 
 def make_graph(node_keys, edges, contents=None):
@@ -27,6 +27,31 @@ class CountingReranker(HashReranker):
     def extract_latents(self, query, contents):
         self.batches.append((query, list(contents)))
         return super().extract_latents(query, contents)
+
+
+class CountingEmbedder(HashEmbedder):
+    """HashEmbedder that counts its node encodes in ``calls``."""
+
+    def __init__(self, dimension=256):
+        super().__init__(dimension)
+        self.calls = 0
+
+    def encode_node(self, text):
+        self.calls += 1
+        return super().encode_node(text)
+
+
+def count_searches(monkeypatch):
+    """Patch ``engine.vector_search``, which every method searches through, to
+    log each call; returns the log."""
+    searches = []
+
+    def counting_search(*args, **kwargs):
+        searches.append(None)
+        return vector_search(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "vector_search", counting_search)
+    return searches
 
 
 def child_env(**extra):

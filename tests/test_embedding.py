@@ -1,6 +1,7 @@
 import os
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fastinsight import (
 from fastinsight.embedding import CACHE_MAGIC, content_digest, read_cache, write_cache
 from fastinsight.errors import CacheInvalidError, DimensionMismatchError, EncoderError
 
-from conftest import make_graph
+from conftest import CountingEmbedder, make_graph
 
 
 class TestHashEmbed:
@@ -65,7 +66,7 @@ class TestBuildIndex:
     def test_cache_avoids_encoder_calls(self, tmp_path):
         g = make_graph(["a", "b", "c"], [])
         cache = str(tmp_path / "vectors.bin")
-        emb = HashEmbedder(64)
+        emb = CountingEmbedder(64)
         build_index(g, emb, cache_path=cache)
         first_calls = emb.calls
         assert first_calls == 3
@@ -110,7 +111,7 @@ class TestBuildIndex:
         g = make_graph(keys, [], contents=contents)
         cache = str(tmp_path / "vectors.bin")
         fresh = build_index(g, HashEmbedder(64), cache_path=cache)
-        emb = HashEmbedder(64)
+        emb = CountingEmbedder(64)
         cached = build_index(g, emb, cache_path=cache)
         assert emb.calls == 0
         assert cached.keys == fresh.keys
@@ -121,12 +122,12 @@ class TestBuildIndex:
         old = make_graph(["a", "b", "c"], [], contents={"a": "alpha", "b": "beta", "c": "gamma"})
         build_index(old, HashEmbedder(64), cache_path=cache)
         new = make_graph(["a", "b", "c"], [], contents={"a": "alpha", "b": "delta", "c": "gamma"})
-        emb = HashEmbedder(64)
+        emb = CountingEmbedder(64)
         index = build_index(new, emb, cache_path=cache)
         assert emb.calls == 1
         assert np.array_equal(index.vector("b"), hash_embed("delta", 64))
         # The rewritten cache now holds the new content's vector.
-        emb = HashEmbedder(64)
+        emb = CountingEmbedder(64)
         again = build_index(new, emb, cache_path=cache)
         assert emb.calls == 0
         assert np.array_equal(again.matrix, index.matrix)
@@ -157,6 +158,22 @@ class TestBuildIndex:
         path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
         with pytest.raises(CacheInvalidError, match="UTF-8"):
             read_cache(str(path))
+
+    @pytest.mark.parametrize("at, size", [(8, 2**32 - 1), (20, 2**32 - 16)],
+                             ids=["dimension", "key-length"])
+    def test_size_past_the_end_is_invalid_and_not_allocated(self, tmp_path, at, size):
+        path = tmp_path / "v.bin"
+        write_cache(str(path), {"a": (content_digest("x"), np.ones(8))}, 8)
+        data = path.read_bytes()
+        path.write_bytes(data[:at] + struct.pack("<I", size) + data[at + 4:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CacheInvalidError, match="truncated"):
+                read_cache(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_encoder_failure_names_node(self):
         class Boom:

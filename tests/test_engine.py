@@ -28,7 +28,7 @@ from fastinsight import (
 
 from fastinsight.engine import METHODS
 
-from conftest import CountingReranker, make_graph, ranked
+from conftest import CountingReranker, count_searches, make_graph, ranked
 
 
 def _rich_graph(n=120, p=0.05, seed=5):
@@ -52,20 +52,22 @@ def rich():
 
 
 class TestLoop:
-    def test_budget_equal_batch_is_single_pass(self, rich):
+    def test_budget_equal_batch_is_single_pass(self, rich, monkeypatch):
         g, index, emb, rr = rich
+        searches = count_searches(monkeypatch)
         cfg = FastInsightConfig(batch=10, budget=10)
         ret, trace = fastinsight_retrieve("tok3 filler5", g, index, emb, rr, cfg)
         assert len(ret) == 10
-        assert (trace.vs_calls, trace.granker_calls, trace.stex_calls) == (1, 1, 0)
+        assert (len(searches), trace.granker_calls, trace.stex_calls) == (1, 1, 0)
         assert len(trace.snapshots) == 1
 
-    def test_full_budget_call_counts(self, rich):
+    def test_full_budget_call_counts(self, rich, monkeypatch):
         g, index, emb, rr = rich
+        searches = count_searches(monkeypatch)
         cfg = FastInsightConfig(batch=10, budget=100)
         ret, trace = fastinsight_retrieve("tok1 tok4 filler2", g, index, emb, rr, cfg)
         assert len(ret) == 100
-        assert trace.vs_calls == 1
+        assert len(searches) == 1
         assert trace.granker_calls == 10  # 1 seed pass + 9 expansion passes
         assert trace.stex_calls == 9
         initial_vs = vector_search(trace.query_vector, index, 10).keys()
@@ -244,8 +246,9 @@ class TestBaselines:
     ("fastinsight", {"embed", "vs", "rerank", "expand"}),
     ("ppr", {"embed", "vs", "expand"}),
 ])
-def test_methods_share_stage_names_and_embed_once(rich, method, stages):
+def test_methods_share_stage_names_and_embed_once(rich, method, stages, monkeypatch):
     g, index, emb, rr = rich
+    searches = count_searches(monkeypatch)
     calls = []
 
     class CountingEmbedder(HashEmbedder):
@@ -258,7 +261,7 @@ def test_methods_share_stage_names_and_embed_once(rich, method, stages):
     assert calls == ["tok1 tok2"]
     assert set(trace.stage_seconds) == stages
     assert np.array_equal(trace.query_vector, emb.encode_query("tok1 tok2"))
-    assert trace.vs_calls == 1
+    assert len(searches) == 1
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))

@@ -1,15 +1,19 @@
 import json
+import math
 import random
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastinsight import (
     AffineHead,
     HashReranker,
     PropagationMatrix,
+    RankedList,
     build_propagation,
     fuse_latents,
     granker,
@@ -130,6 +134,24 @@ class TestTieOrder:
         g, ret = self._case()
         scores = reranker.head_scores(reranker.extract_latents(self.Q, [g.content(k) for k in ret.keys()]))
         assert rerank_pool(self.Q, ret, g, reranker, k=k).items() == self._reference(ret, scores, k)
+
+
+_SCORES = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, math.inf, -math.inf, math.nan]),
+                             st.floats(-2.0, 2.0)), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCORES, st.data())
+def test_top_k_is_the_head_of_the_full_order(scores, data):
+    # NaN, +-inf and tied scores: the best k are the first k of the full order.
+    n = len(scores)
+    names = tuple(f"n{i:02d}" for i in range(n))
+    ids = np.array(data.draw(st.permutations(range(n))))
+    k = data.draw(st.integers(0, n + 1))
+    full = RankedList.top(names, ids, np.array(scores))
+    top = RankedList.top(names, ids, np.array(scores), k)
+    assert top.ids.tolist() == full.ids[:k].tolist()
+    assert np.array_equal(top.scores, full.scores[:k], equal_nan=True)
 
 
 class TestPropagation:
@@ -384,3 +406,19 @@ class TestAffineHead:
         # relu(x), relu(-x) summed = |x|
         got = head(np.array([[3.0, 0.0], [-2.0, 0.0]]))
         assert np.allclose(got, [3.0, 2.0])
+
+    @pytest.mark.parametrize("layers, where", [
+        ([([1.0, 2.0], [0.0])], "layer 0: weights of shape"),
+        ([([[1.0, math.nan]], [0.0])], "layer 0: a weight or bias is not finite"),
+        ([([[1.0, 2.0]], [math.inf])], "layer 0: a weight or bias is not finite"),
+        ([([[1.0, 2.0]], [0.0, 0.0])], "layer 0: bias"),
+        ([([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]), ([[1.0, 1.0, 1.0]], [0.0])], "layer 1: 3 inputs"),
+        ([([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])], "layer 0: the final layer has 2 outputs"),
+        ([([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]), ([[1.0, 1.0], [1.0, 0.0]], [0.0, 0.0])],
+         "layer 1: the final layer has 2 outputs"),
+        ([], "no layer"),
+    ], ids=["weights-1d", "weights-nan", "bias-inf", "bias-length", "layers-do-not-chain",
+            "single-layer-two-outputs", "final-layer-two-outputs", "no-layers"])
+    def test_bad_layers_rejected_when_built(self, layers, where):
+        with pytest.raises(ValueError, match=where):
+            AffineHead(layers)

@@ -24,7 +24,7 @@ from fastinsight.runner import (
     METHODS, WARMUP_QUERIES, RunConfig, RunError, load_queries, run_eval, run_sweep,
 )
 
-from conftest import run_cli
+from conftest import count_searches, run_cli
 
 
 @pytest.fixture(scope="module")
@@ -180,20 +180,22 @@ class TestOneRetrievalPerQuery:
         assert calls == [c for _, text in queries for c in (text, None)]
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_vs_top_is_a_fresh_search(self, dataset, method):
+    def test_vs_top_is_a_fresh_search(self, dataset, monkeypatch, method):
         # (batch, budget, k_report): batch < k_report; budget < k_report
         # (not for re2, which rejects it); a budget beyond the index.
         g = load_graph(dataset.nodes, dataset.edges)
         emb = HashEmbedder(256)
         index = build_index(g, emb)
         queries = load_queries(dataset.queries)[:3]
+        searches = count_searches(monkeypatch)
         for batch, budget, k_report in [(10, 40, 10), (3, 40, 10), (3, 6, 10), (2, 500, 5)]:
             if method == "re2" and budget < k_report:
                 continue
             cfg = FastInsightConfig(batch=batch, budget=budget, k_report=k_report)
             for _, text in queries:
+                searches.clear()
                 _, trace = engine.METHODS[method](text, g, index, emb, HashReranker(256), cfg)
-                assert trace.vs_calls == 1
+                assert len(searches) == 1
                 assert trace.vs_top == vector_search(trace.query_vector, index, k_report)
 
     def test_timings_columns_are_the_stage_names(self, dataset, tmp_path):
@@ -302,6 +304,9 @@ class TestCli:
         ("queries", b"\n[1, 2]\n", "queries file, line 2"),
         ("queries", b"\n\xff\n", "queries file, line 2"),
         ("qrels", b"\n\xff\tn\t1\n", "qrels file, line 2"),
+        ("edges", b"c000_gold0\tc000_gold1\n\tc000_gold1\n", "edges file, line 2"),
+        ("qrels", b"q0000\tc000_gold0\t1\n\tc000_gold0\t1\n", "qrels file, line 2"),
+        ("qrels", b"\nq0000\t\t1\n", "qrels file, line 2"),
         ("queries", b'{"id": "q1", "text": "a"}\n\n{"id": "q1", "text": "b"}\n',
          "queries file, line 3: duplicate query id 'q1'"),
         ("queries", b'{"id": null, "text": "a"}\n', "queries file, line 1: query id"),
@@ -312,7 +317,8 @@ class TestCli:
         ("nodes", b'{"key": "a", "content": "x"}\n{"key": "a", "content": "y"}\n',
          "nodes file, line 2: duplicate node key 'a'"),
     ], ids=["edges-columns", "edges-utf8", "nodes-utf8", "queries-not-object",
-            "queries-utf8", "qrels-utf8", "queries-duplicate-id", "queries-null-id",
+            "queries-utf8", "qrels-utf8", "edges-empty-key", "qrels-empty-query-id",
+            "qrels-empty-key", "queries-duplicate-id", "queries-null-id",
             "queries-numeric-id", "queries-null-text", "nodes-null-content",
             "nodes-duplicate-key"])
     def test_malformed_file_is_an_error_line(self, dataset, tmp_path, which, data, where):
