@@ -105,8 +105,9 @@ class JsonClient:
     basic auth and kept out of the request line and of error messages.
 
     A status outside 2xx (redirects are not followed), a reply that is not
-    HTTP, or a body that is not JSON raises :class:`RemoteEndpointError`;
-    a connection that cannot be made raises ``OSError``.
+    HTTP, or a body that is not a JSON object with the field that
+    :meth:`post` returns raises :class:`RemoteEndpointError`; a connection
+    that cannot be made raises ``OSError``.
     """
 
     def __init__(self, url: str, timeout: float):
@@ -124,7 +125,7 @@ class JsonClient:
         self.timeout = timeout
         self._open = urllib.request.build_opener(_NoRedirect).open
 
-    def post(self, payload: Any) -> Any:
+    def post(self, payload: Any, field: str) -> Any:
         req = urllib.request.Request(self.url, json.dumps(payload).encode(), self._headers)
         try:
             with self._open(req, timeout=self.timeout) as resp:
@@ -135,9 +136,12 @@ class JsonClient:
         except http.client.HTTPException as exc:
             raise RemoteEndpointError(self.url, None, f"not an HTTP reply: {exc!r}") from exc
         try:
-            return json.loads(data)
+            reply = json.loads(data)
         except ValueError as exc:
             raise RemoteEndpointError(self.url, status, f"reply is not JSON: {exc}") from exc
+        if not isinstance(reply, dict) or field not in reply:
+            raise RemoteEndpointError(self.url, status, f"reply is not a JSON object with a {field!r} field")
+        return reply[field]
 
 
 class RemoteEmbedder:
@@ -158,7 +162,7 @@ class RemoteEmbedder:
         self._lock = threading.Lock()
 
     def _encode_batch(self, texts: Sequence[str]) -> List[np.ndarray]:
-        vectors = self._http.post({"texts": list(texts)})["vectors"]
+        vectors = self._http.post({"texts": list(texts)}, "vectors")
         if len(vectors) != len(texts):
             raise DimensionMismatchError(
                 f"remote embedder returned {len(vectors)} vectors for {len(texts)} texts"
@@ -339,13 +343,15 @@ def build_index(
     return index
 
 
-def vector_search(v_q: np.ndarray, index: EmbeddingIndex, k: int) -> RankedList:
+def vector_search(v_q: np.ndarray, index: EmbeddingIndex, k: int,
+                  out: Optional[np.ndarray] = None) -> RankedList:
     """Exact top-k by dot product over the whole index.
 
     With unit-normalized vectors (the default index build) the dot product
     coincides with cosine similarity. If k exceeds the index size, all nodes
     are returned, ranked. Ties break by ascending key. A query vector with a
-    NaN or infinite entry raises ``ValueError``.
+    NaN or infinite entry raises ``ValueError``. ``out``, if given, receives
+    every row's score (``index.matrix @ v_q``, float64, ``len(index)`` long).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -358,5 +364,5 @@ def vector_search(v_q: np.ndarray, index: EmbeddingIndex, k: int) -> RankedList:
         )
     if not np.isfinite(v_q).all():
         raise ValueError("query vector has a non-finite entry")
-    scores = index.matrix @ v_q
+    scores = np.matmul(index.matrix, v_q, out=out)
     return RankedList.top(index.keys, np.arange(len(scores)), scores, k)

@@ -47,14 +47,16 @@ class FastInsightConfig:
 
 @dataclass
 class RetrievalTrace:
-    """Per-run bookkeeping: the query vector and its top-``k_report`` search
-    hits (``vs_top``), each iteration's list, call counts and stage timings."""
+    """Per-run bookkeeping: the query vector, its score against every index
+    row (``similarities``, read by STeX) and its top-``k_report`` search hits
+    (``vs_top``), each iteration's list, call counts and stage timings."""
 
     snapshots: List[RankedList] = field(default_factory=list)
     granker_calls: int = 0
     stex_calls: int = 0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     query_vector: Optional[np.ndarray] = None
+    similarities: Optional[np.ndarray] = None
     vs_top: Optional[RankedList] = None
 
     @contextmanager
@@ -69,14 +71,15 @@ class RetrievalTrace:
 
 def _seed(q: str, index: EmbeddingIndex, emb: Embedder, k: int,
           k_report: int) -> Tuple[RankedList, RetrievalTrace]:
-    """Start a method's trace: embed ``q`` and vector-search it once; return
-    the top ``k`` and keep the top ``k_report`` as ``trace.vs_top``. Search
-    results are totally ordered, so both are prefixes of the one search."""
+    """Start a method's trace: embed ``q`` and score it against the index once;
+    return the top ``k`` and keep the top ``k_report`` as ``trace.vs_top``.
+    Search results are totally ordered, so both are prefixes of one search."""
     trace = RetrievalTrace()
     with trace.stage("embed"):
         trace.query_vector = emb.encode_query(q)
     with trace.stage("vs"):
-        top = vector_search(trace.query_vector, index, max(k, k_report))
+        trace.similarities = np.empty(len(index))
+        top = vector_search(trace.query_vector, index, max(k, k_report), out=trace.similarities)
         trace.vs_top = top.head(k_report)
         ret = top.head(k)
     return ret, trace
@@ -96,8 +99,9 @@ def fastinsight_retrieve(
     alternates frontier expansion (append up to ``batch`` candidates, capped
     at ``budget``) with graph reranking until the budget is reached or the
     frontier empties. Each retrieved document reaches the reranker once: the
-    granker calls share one per-query :class:`GRankerState`. The loop passes
-    node ids only; keys are resolved once, for the returned list.
+    granker calls share one per-query :class:`GRankerState`. Every expansion
+    reads the seed search's ``trace.similarities``. The loop passes node ids
+    only; keys are resolved once, for the returned list.
     """
     if g.n_nodes == 0:
         raise ValueError("graph is empty")
@@ -113,7 +117,7 @@ def fastinsight_retrieve(
             break
         with trace.stage("expand"):
             additions = stex(trace.query_vector, index, g, ret, cfg.beta,
-                             k=min(cfg.batch, cfg.budget - len(ret)))
+                             k=min(cfg.batch, cfg.budget - len(ret)), sims=trace.similarities)
         trace.stex_calls += 1
         if len(additions) == 0:
             break

@@ -35,13 +35,18 @@ def _score(
     g: CorpusGraph,
     ret: RankedList,
     beta: float,
+    sims: Optional[np.ndarray] = None,
 ) -> Tuple[Frontier, np.ndarray, np.ndarray, np.ndarray]:
     """The frontier of ``ret`` with each candidate's i_struct, i_sim and
-    total."""
+    total; i_sim is read from ``sims``, by default ``index.matrix @ v_q``."""
     if len(ret) == 0:
         raise ValueError("ranked list is empty")
     if not (beta >= 0 and math.isfinite(beta)):
         raise ValueError(f"beta must be finite and non-negative, got {beta}")
+    if sims is None:
+        sims = index.matrix @ v_q
+    elif np.shape(sims) != (len(index),):
+        raise ValueError(f"{np.shape(sims)} scores for an index of {len(index)} rows")
     cand = frontier(g, ret)
     r_max = len(ret)
     if r_max > 1:
@@ -51,7 +56,7 @@ def _score(
     # C_max = 1 forces |A(n)| = 1, so its bridging term is 0 / 1 = 0.
     c_max = np.minimum(g.degrees[cand.ids], r_max)
     i_struct += (cand.adjacent - 1) / np.maximum(c_max - 1, 1)
-    i_sim = index.matrix[index.rows(g.node_keys, cand.ids)] @ v_q
+    i_sim = sims[index.rows(g.node_keys, cand.ids)]
     return cand, i_struct, i_sim, i_sim + beta * i_struct
 
 
@@ -71,7 +76,8 @@ def stex_scores(
       - bridging term (|A(n)| - 1) / (C_max - 1) when
         C_max = min(deg(n), |ret|) > 1; A(n) holds at most deg(n) and at
         most |ret| nodes, so the term is at most 1;
-      - i_sim = v_q . v_n (raw dot product, no rescaling);
+      - i_sim = v_q . v_n (raw dot product, no rescaling), read from
+        ``index.matrix @ v_q``: bit-equal to n's :func:`vector_search` score;
       - total = i_sim + beta * i_struct, with beta finite and non-negative.
     """
     cand, i_struct, i_sim, total = _score(v_q, index, g, ret, beta)
@@ -89,9 +95,12 @@ def stex(
     ret: RankedList,
     beta: float,
     k: Optional[int] = None,
+    sims: Optional[np.ndarray] = None,
 ) -> RankedList:
     """Rank the one-hop frontier of ``ret`` by the totals of
     :func:`stex_scores`, optionally truncated to the best ``k``; an empty
-    frontier yields an empty list."""
-    cand, _, _, total = _score(v_q, index, g, ret, beta)
+    frontier yields an empty list. ``sims``, the scores ``index.matrix @ v_q``
+    that :func:`vector_search` writes to its ``out``, saves computing them
+    again; one whose length is not ``len(index)`` raises ``ValueError``."""
+    cand, _, _, total = _score(v_q, index, g, ret, beta, sims)
     return RankedList.top(g.node_keys, cand.ids, total, k)

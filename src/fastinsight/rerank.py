@@ -123,20 +123,20 @@ class RemoteReranker(Reranker):
 
     POSTs {"query": ..., "documents": [...], "return_latents": true} and
     expects {"latents": [[...], ...]}, through a :class:`JsonClient`.
-    Scoring applies a locally loaded :class:`AffineHead`.
+    Scoring applies a locally loaded :class:`AffineHead` of ``latent_dim`` inputs.
     """
 
     def __init__(self, url: str, latent_dim: int, head: AffineHead, timeout: float = 60.0):
+        if head.layers[0][0].shape[1] != latent_dim:
+            raise ValueError(f"head takes {head.layers[0][0].shape[1]} inputs, latents have {latent_dim}")
         self.url = url
         self.latent_dim = latent_dim
         self.head = head
         self._http = JsonClient(url, timeout)
 
     def extract_latents(self, query: str, contents: Sequence[str]) -> LatentBatch:
-        reply = self._http.post(
-            {"query": query, "documents": list(contents), "return_latents": True}
-        )
-        latents = np.asarray(reply["latents"], dtype=np.float64)
+        payload = {"query": query, "documents": list(contents), "return_latents": True}
+        latents = np.asarray(self._http.post(payload, "latents"), dtype=np.float64)
         if latents.shape != (len(contents), self.latent_dim):
             raise ValueError(
                 f"remote reranker returned shape {latents.shape}, "

@@ -31,6 +31,25 @@ from fastinsight.engine import METHODS
 from conftest import CountingReranker, count_searches, make_graph, ranked
 
 
+class MatrixReads(EmbeddingIndex):
+    """An index that counts the reads of its ``matrix`` in ``reads``."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, *args):
+        self.reads = 0
+        super().__init__(*args)
+
+    @property
+    def matrix(self):
+        self.reads += 1
+        return EmbeddingIndex.matrix.__get__(self)
+
+    @matrix.setter
+    def matrix(self, value):
+        EmbeddingIndex.matrix.__set__(self, value)
+
+
 def _rich_graph(n=120, p=0.05, seed=5):
     """Connected-ish random graph with distinct contents for every node."""
     rng = random.Random(seed)
@@ -150,6 +169,21 @@ class TestLoop:
                                           FastInsightConfig(batch=10, budget=100))
         assert len(ret) == 100 and trace.granker_calls == 10
         assert len(resolved) == 1 and resolved[0] is ret
+
+    def test_index_matrix_read_once_per_query(self, rich):
+        # The seed search scores every row; each STeX call reads those scores
+        # instead of multiplying the candidates' rows again.
+        g, built, emb, rr = rich
+        cfg = FastInsightConfig(batch=10, budget=100)
+        vectors = {k: built.vector(k) for k in g.node_keys}
+        shared, own = MatrixReads(vectors, emb.dimension), MatrixReads(vectors, emb.dimension)
+        shared.keys = g.node_keys
+        for index in (shared, own):
+            for q in ("tok1 tok4 filler2", "tok6 filler3"):
+                index.reads = 0
+                ret, trace = fastinsight_retrieve(q, g, index, emb, rr, cfg)
+                assert (trace.stex_calls, index.reads) == (9, 1)
+                assert ret.items() == fastinsight_retrieve(q, g, built, emb, rr, cfg)[0].items()
 
     def test_empty_graph_rejected(self):
         g = make_graph([], [])
@@ -359,3 +393,28 @@ class TestHandBuiltIndex:
             assert got.items() == want.items(), name
             if name == "ppr":
                 assert got.names is g.node_keys
+
+
+@settings(max_examples=80, deadline=None)
+@given(_index_case())
+def test_stex_similarity_is_the_search_score(case):
+    # STeX reads i_sim from the full product index.matrix @ v_q, whether the
+    # engine passes the seed search's scores or stex computes them itself. A
+    # hand-built index with an extra key has rows that are not node ids.
+    g, q, ret, cfg = case
+    emb = HashEmbedder(16)
+    built = build_index(g, emb)
+    vectors = {k: built.vector(k) for k in g.node_keys}
+    vectors["a-extra"] = emb.encode_node("w1 extra")
+    hand = EmbeddingIndex(vectors, emb.dimension)
+    v_q = emb.encode_query(q)
+    for index in (built, hand):
+        full = index.matrix @ v_q
+        row_score = dict(zip(index.keys, full.tolist()))
+        sims = np.empty(len(index))
+        searched = vector_search(v_q, index, len(index), out=sims)
+        assert sims.tobytes() == full.tobytes()
+        for s in stex_scores(v_q, index, g, ret, cfg.beta):
+            assert s.i_sim.hex() == row_score[s.key].hex() == searched.score(s.key).hex()
+        assert stex(v_q, index, g, ret, cfg.beta, sims=sims).items() == \
+            stex(v_q, index, g, ret, cfg.beta).items()

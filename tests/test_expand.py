@@ -56,6 +56,12 @@ class TestHandTrace:
         assert list(out.keys()) == ["m", "n"]  # 0.4 beats 0.1
         assert out.score("m") == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_scores_of_another_length_rejected(self, n):
+        g, index, ret, v_q = _hand_fixture()
+        with pytest.raises(ValueError, match="index of 3 rows"):
+            stex(v_q, index, g, ret, beta=1.0, sims=np.zeros(n))
+
     def test_large_beta_is_structurally_lexicographic(self):
         g, index, ret, v_q = _hand_fixture()
         out = stex(v_q, index, g, ret, beta=1e9)

@@ -59,6 +59,10 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_error(500)
                 return
             payload = {"vectors": [hash_embed(t, DIM).tolist() for t in body["texts"]]}
+        elif self.path in ("/embed-no-field", "/rerank-no-field"):
+            payload = {"error": "model not loaded"}
+        elif self.path == "/embed-not-object":
+            payload = [[0.0] * DIM for _ in body["texts"]]
         elif self.path == "/rerank":
             assert body["return_latents"] is True
             q = hash_embed(body["query"], DIM)
@@ -124,6 +128,16 @@ class TestRemoteEmbedder:
         g = make_graph(["a", "b", "c"], [])
         with pytest.raises(EncoderError, match="'a'.*2 vectors for 3 texts"):
             build_index(g, emb)
+
+    @pytest.mark.parametrize("path", ["/embed-no-field", "/embed-not-object"])
+    def test_reply_without_vectors_names_url_and_field(self, server, path):
+        emb = RemoteEmbedder(f"{server}{path}", DIM)
+        with pytest.raises(RemoteEndpointError, match="'vectors'") as info:
+            emb.encode_query("x")
+        assert info.value.url == f"{server}{path}" and info.value.status == 200
+        with pytest.raises(EncoderError, match=f"'a'.*{path}.*'vectors'") as info:
+            build_index(make_graph(["a"], []), emb)
+        assert isinstance(info.value.__cause__, RemoteEndpointError)
 
     @pytest.mark.parametrize("size", [0, -1])
     def test_batch_size_below_one_rejected(self, size):
@@ -241,6 +255,17 @@ class TestRemoteReranker:
         remote = RemoteReranker(f"{server}/rerank-bad-shape", DIM, _head(tmp_path))
         with pytest.raises(ValueError):
             remote.extract_latents("q", ["a", "b", "c"])
+
+    def test_reply_without_latents_names_url_and_field(self, server, tmp_path):
+        url = f"{server}/rerank-no-field"
+        with pytest.raises(RemoteEndpointError, match="'latents'") as info:
+            RemoteReranker(url, DIM, _head(tmp_path)).extract_latents("q", ["a"])
+        assert info.value.url == url and info.value.status == 200
+
+    def test_head_width_checked_when_built(self):
+        head = AffineHead([([[1.0, 1.0]], [0.0])])
+        with pytest.raises(ValueError, match="head takes 2 inputs, latents have 8"):
+            RemoteReranker("http://127.0.0.1:1/unused", 8, head)
 
     def test_non_finite_latents_rejected(self, server, tmp_path):
         remote = RemoteReranker(f"{server}/rerank-inf", DIM, _head(tmp_path))
