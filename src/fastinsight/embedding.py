@@ -24,10 +24,9 @@ from .ranked import RankedList, key_rows, table_rows
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 CACHE_MAGIC = b"GSIX"
-CACHE_VERSION = 2
-DIGEST_SIZE = 16  # bytes of blake2b content digest per cache record
-
-CacheRecords = Dict[str, Tuple[bytes, np.ndarray]]  # key -> (content digest, vector)
+CACHE_VERSION = 3
+DIGEST_SIZE = 16  # bytes of blake2b content digest that key a cache record
+_CACHE_HEADER = struct.Struct("<4sIIQ")  # magic, version, dimension, record count: 20 bytes
 
 
 def hash_embed(text: str, d: int = 256) -> np.ndarray:
@@ -232,12 +231,14 @@ class EmbeddingIndex:
 
 
 def content_digest(text: str) -> bytes:
-    """The blake2b digest that a cache record keeps of its node's content."""
+    """The blake2b digest that keys a node's vector in the cache."""
     return hashlib.blake2b(text.encode("utf-8"), digest_size=DIGEST_SIZE).digest()
 
 
-def write_cache(path: str, records: CacheRecords, dimension: int) -> None:
-    """Persist encoder vectors, each with its content digest, as ``<f8``.
+def write_cache(path: str, vectors: Dict[bytes, np.ndarray], dimension: int) -> None:
+    """Persist encoder vectors keyed by content digest: a 20-byte header
+    (magic, version, dimension, record count), then per record the digest and
+    the vector as ``<f8``.
 
     The cache is written to ``path + ".tmp"``, synced to disk and then
     renamed over ``path``, so a write cut short leaves the previous cache as
@@ -246,14 +247,9 @@ def write_cache(path: str, records: CacheRecords, dimension: int) -> None:
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            fh.write(struct.pack("<IIQ", CACHE_VERSION, dimension, len(records)))
-            for key, (digest, vector) in records.items():
-                kb = key.encode("utf-8")
-                fh.write(struct.pack("<I", len(kb)))
-                fh.write(kb)
-                fh.write(digest)
-                fh.write(np.asarray(vector, dtype="<f8").tobytes())
+            fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, dimension, len(vectors)))
+            for digest, vector in vectors.items():
+                fh.write(digest + np.asarray(vector, dtype="<f8").reshape(dimension).tobytes())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -262,35 +258,29 @@ def write_cache(path: str, records: CacheRecords, dimension: int) -> None:
             os.remove(tmp)
 
 
-def read_cache(path: str) -> Tuple[CacheRecords, int]:
-    """Read a binary vector cache; returns (records, dimension). A file that
-    ends early or holds a key that is not UTF-8 raises :class:`CacheInvalidError`."""
+def read_cache(path: str) -> Tuple[Dict[bytes, np.ndarray], int]:
+    """Read a binary vector cache; returns ({content digest: vector}, dimension).
+
+    Records have a fixed size, so the file is checked by one test before any
+    record is read: its size must be the header's plus ``count`` records of
+    ``16 + 8 * dimension`` bytes. A file that fails it, or has another magic
+    or version, raises :class:`CacheInvalidError`.
+    """
     with open(path, "rb") as fh:
-        end = os.fstat(fh.fileno()).st_size
-
-        def take(size: int) -> bytes:
-            # A size read from the file that runs past its end is neither read nor allocated.
-            buf = fh.read(size) if size <= end - fh.tell() else b""
-            if len(buf) != size:
-                raise CacheInvalidError(f"truncated cache {path!r}")
-            return buf
-
-        magic = fh.read(4)
-        if magic != CACHE_MAGIC:
-            raise CacheInvalidError(f"bad magic in {path!r}: {magic!r}")
-        version, d, count = struct.unpack("<IIQ", take(16))
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_CACHE_HEADER.size)
+        if head[:4] != CACHE_MAGIC:
+            raise CacheInvalidError(f"bad magic in {path!r}: {head[:4]!r}")
+        if len(head) < _CACHE_HEADER.size:
+            raise CacheInvalidError(f"truncated cache header in {path!r}")
+        _, version, d, count = _CACHE_HEADER.unpack(head)
         if version != CACHE_VERSION:
-            raise CacheInvalidError(f"unsupported cache version {version}")
-        records: CacheRecords = {}
-        for _ in range(count):
-            (klen,) = struct.unpack("<I", take(4))
-            try:
-                key = take(klen).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CacheInvalidError(f"cache key is not UTF-8 in {path!r}: {exc}") from None
-            digest = take(DIGEST_SIZE)
-            records[key] = (digest, np.frombuffer(take(8 * d), dtype="<f8").astype(np.float64))
-    return records, d
+            raise CacheInvalidError(f"unsupported cache version {version} in {path!r}")
+        if size != _CACHE_HEADER.size + count * (DIGEST_SIZE + 8 * d):
+            raise CacheInvalidError(f"cache {path!r} has {size} bytes, not {count} records of dimension {d}")
+        rows = np.frombuffer(fh.read(), np.uint8).reshape(count, DIGEST_SIZE + 8 * d)
+    digests = np.ascontiguousarray(rows[:, :DIGEST_SIZE]).view(f"V{DIGEST_SIZE}").ravel().tolist()
+    return dict(zip(digests, np.ascontiguousarray(rows[:, DIGEST_SIZE:]).view("<f8").astype(np.float64))), d
 
 
 def build_index(
@@ -305,28 +295,26 @@ def build_index(
     chunks of ``emb.batch_size``; a failing chunk raises :class:`EncoderError`
     naming its first key.
 
-    When ``cache_path`` exists, a cached vector is reused if its record's
-    content digest matches the node's content; every other node is encoded,
-    and the cache is rewritten if anything was. The cache holds the encoder's
-    vectors exactly, so a cached index equals a fresh one. A cache with a
-    different dimension raises :class:`CacheInvalidError`.
+    With a ``cache_path``, each node's content digest is computed once and,
+    when the cache exists, a node whose digest it holds takes the cached
+    vector, whatever the node's key; every other node is encoded, and if any
+    was, the cache is rewritten with the current nodes' vectors only (nodes of
+    equal content share one record). The cache holds the encoder's vectors
+    exactly, so a cached index equals a fresh one. A cache with a different
+    dimension raises :class:`CacheInvalidError`.
     """
     d = emb.dimension
-    cached: CacheRecords = {}
-    if cache_path is not None and os.path.exists(cache_path):
-        cached, cache_d = read_cache(cache_path)
-        if cache_d != d:
-            raise CacheInvalidError(f"cache dimension {cache_d} != embedder dimension {d}")
+    cached: Dict[bytes, np.ndarray] = {}
+    digests: Dict[str, bytes] = {}
+    if cache_path is not None:
+        digests = {key: content_digest(g.content(key)) for key in g.node_keys}
+        if os.path.exists(cache_path):
+            cached, cache_d = read_cache(cache_path)
+            if cache_d != d:
+                raise CacheInvalidError(f"cache dimension {cache_d} != embedder dimension {d}")
 
-    vectors: Dict[str, np.ndarray] = {}
-    todo: List[str] = []
-    for key in g.node_keys:
-        hit = cached.get(key)
-        if hit is not None and hit[0] == content_digest(g.content(key)):
-            vectors[key] = hit[1]
-        else:
-            todo.append(key)
-
+    vectors = {key: cached[digest] for key, digest in digests.items() if digest in cached}
+    todo = [key for key in g.node_keys if key not in vectors]
     encode, size = emb.encode_nodes, emb.batch_size
     for start in range(0, len(todo), size):
         chunk = todo[start:start + size]
@@ -338,8 +326,7 @@ def build_index(
     index = EmbeddingIndex(vectors, d, normalize=True)
     index.keys = g.node_keys  # the equal sorted tuple: index rows are node ids
     if cache_path is not None and todo:
-        records = {key: (content_digest(g.content(key)), vectors[key]) for key in g.node_keys}
-        write_cache(cache_path, records, d)
+        write_cache(cache_path, {digests[key]: vectors[key] for key in g.node_keys}, d)
     return index
 
 

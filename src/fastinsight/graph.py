@@ -32,6 +32,7 @@ from .ranked import RankedList, key_rows, table_rows
 logger = logging.getLogger(__name__)
 
 Source = Union[str, bytes, BinaryIO]
+_LINE_SAFE = frozenset("\t\r\n")  # characters an edges-file key cannot hold
 
 
 class CorpusGraph:
@@ -163,7 +164,7 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
 
 @contextmanager
 def _open_source(source: Source) -> Iterator[BinaryIO]:
-    """Open a path / bytes / binary stream, transparently decompressing gzip.
+    """Open a path / bytes / binary stream (a pipe too), transparently decompressing gzip.
 
     Closes what it opened on exit; a stream passed in by the caller stays open.
     """
@@ -172,8 +173,8 @@ def _open_source(source: Source) -> Iterator[BinaryIO]:
             raw: BinaryIO = stack.enter_context(open(source, "rb"))
         elif isinstance(source, bytes):
             raw = io.BytesIO(source)
-        else:
-            raw = source
+        else:  # a stream that cannot seek back over the gzip sniff is read into memory
+            raw = source if source.seekable() else io.BytesIO(source.read())
         head = raw.read(2)
         raw.seek(-len(head), io.SEEK_CUR)
         if head == b"\x1f\x8b":
@@ -270,7 +271,15 @@ def load_qrels(source: Source) -> Dict[str, Set[str]]:
 
 
 def save_graph(g: CorpusGraph, nodes_path: str, edges_path: str) -> None:
-    """Serialize a graph back to the on-disk formats (round-trip safe)."""
+    """Serialize a graph back to the on-disk formats (round-trip safe).
+
+    A key on an edge that the edges file cannot hold (one with a tab, CR or
+    LF, or one that starts with a byte-order mark, which the reader drops)
+    raises ``ValueError`` naming it, before either file is written.
+    """
+    for key, degree in zip(g.node_keys, g.degrees.tolist()):
+        if degree and (not _LINE_SAFE.isdisjoint(key) or key.startswith("\ufeff")):
+            raise ValueError(f"node key {key!r} cannot be written to the edges file")
     with open(nodes_path, "w", encoding="utf-8") as fh:
         for key in g.node_keys:
             fh.write(json.dumps({"key": key, "content": g.content(key)}, sort_keys=True))
@@ -361,6 +370,8 @@ def _ppr_vector(
     scores = seeds.scores
     p0 = np.zeros(n)
     p0[seeds.ids] = scores
+    if not np.isfinite(scores).all():
+        raise ValueError(f"non-finite seed score for {seeds.keys()[int(np.argmin(np.isfinite(scores)))]!r}")
     if (scores < 0).any():
         raise ValueError(f"negative seed score for {seeds.keys()[int(np.argmax(scores < 0))]!r}")
     total = p0.sum()

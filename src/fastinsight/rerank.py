@@ -104,10 +104,22 @@ class AffineHead:
 
     @classmethod
     def from_file(cls, path: str) -> "AffineHead":
+        """The head in a JSON weights file; a file of another shape, a layer
+        without a "weights" or "bias" field, or one that breaks a rule raises
+        ``ValueError`` naming the path (and the field)."""
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        raw = payload["layers"] if "layers" in payload else [payload]
-        return cls([(layer["weights"], layer["bias"]) for layer in raw])
+        raw = payload.get("layers", [payload]) if isinstance(payload, dict) else None
+        if not isinstance(raw, list):
+            raise ValueError(f"head file {path!r} is not an object with 'weights' and 'bias' or a 'layers' list")
+        for i, layer in enumerate(raw):
+            for field in ("weights", "bias"):
+                if not isinstance(layer, dict) or field not in layer:
+                    raise ValueError(f"head file {path!r}: layer {i} has no {field!r} field")
+        try:
+            return cls([(layer["weights"], layer["bias"]) for layer in raw])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"head file {path!r}: {exc}") from exc
 
     def __call__(self, latents: LatentBatch) -> np.ndarray:
         x = latents

@@ -1,10 +1,13 @@
 import os
 import random
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastinsight import (
     EmbeddingIndex,
@@ -81,24 +84,58 @@ class TestBuildIndex:
             build_index(g, HashEmbedder(128), cache_path=cache)
 
     def test_cache_roundtrip(self, tmp_path):
-        g = make_graph(["a", "b"], [])
         emb = HashEmbedder(32)
-        records = {k: (content_digest(g.content(k)), emb.encode_node(g.content(k)))
-                   for k in g.node_keys}
+        records = {content_digest(text): emb.encode_node(text) for text in ("a", "b")}
         path = str(tmp_path / "v.bin")
         write_cache(path, records, 32)
         got, d = read_cache(path)
-        assert d == 32 and set(got) == {"a", "b"}
-        for k, (digest, vector) in got.items():
-            assert digest == records[k][0]
-            assert np.array_equal(vector, records[k][1])
+        assert d == 32 and set(got) == set(records)
+        for digest, vector in got.items():
+            assert np.array_equal(vector, records[digest])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda d: st.tuples(st.just(d), st.dictionaries(
+        st.binary(min_size=16, max_size=16),
+        st.lists(st.floats(width=64) | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308]),
+                 min_size=d, max_size=d),
+        max_size=5))))
+    def test_cache_roundtrip_is_bit_exact(self, case):
+        d, records = case
+        records = {digest: np.array(values, dtype=np.float64) for digest, values in records.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "v.bin")
+            write_cache(path, records, d)
+            got, got_d = read_cache(path)
+        assert got_d == d and list(got) == list(records)
+        for digest, vector in got.items():
+            assert vector.dtype == np.float64 and vector.tobytes() == records[digest].tobytes()
+
+    def test_equal_content_shares_one_record(self, tmp_path):
+        g = make_graph(["a", "b", "c"], [], contents={"a": "same text", "b": "same text", "c": "other"})
+        cache = str(tmp_path / "vectors.bin")
+        fresh = build_index(g, HashEmbedder(32), cache_path=cache)
+        records, _ = read_cache(cache)
+        assert set(records) == {content_digest("same text"), content_digest("other")}
+        emb = CountingEmbedder(32)
+        cached = build_index(g, emb, cache_path=cache)
+        assert emb.calls == 0
+        assert np.array_equal(cached.matrix, fresh.matrix)
+
+    def test_renamed_node_with_same_content_is_a_hit(self, tmp_path):
+        cache = str(tmp_path / "vectors.bin")
+        build_index(make_graph(["a", "b"], [], contents={"a": "alpha", "b": "beta"}),
+                    HashEmbedder(32), cache_path=cache)
+        renamed = make_graph(["a", "z"], [], contents={"a": "alpha", "z": "beta"})
+        emb = CountingEmbedder(32)
+        index = build_index(renamed, emb, cache_path=cache)
+        assert emb.calls == 0
+        assert np.array_equal(index.vector("z"), hash_embed("beta", 32))
 
     def test_failed_write_keeps_previous_cache(self, tmp_path):
         cache = tmp_path / "vectors.bin"
         build_index(make_graph(["a", "b"], []), HashEmbedder(32), cache_path=str(cache))
         before = cache.read_bytes()
-        records = {"a": (content_digest("a"), np.zeros(32)),
-                   "b": (content_digest("b"), "not a vector")}
+        records = {content_digest("a"): np.zeros(32), content_digest("b"): "not a vector"}
         with pytest.raises(ValueError):
             write_cache(str(cache), records, 32)
         assert cache.read_bytes() == before
@@ -140,35 +177,33 @@ class TestBuildIndex:
         with pytest.raises(CacheInvalidError, match="version 1"):
             build_index(make_graph(["a"], []), HashEmbedder(8), cache_path=str(path))
 
+    def test_version_2_cache_rejected(self, tmp_path):
+        # Format 2 kept each node's key, then its content digest and vector.
+        path = tmp_path / "v2.bin"
+        path.write_bytes(CACHE_MAGIC + struct.pack("<IIQ", 2, 8, 1) + struct.pack("<I", 1) + b"a"
+                         + content_digest("a") + np.zeros(8, "<f8").tobytes())
+        with pytest.raises(CacheInvalidError, match="version 2"):
+            build_index(make_graph(["a"], []), HashEmbedder(8), cache_path=str(path))
+
     def test_every_truncation_is_invalid(self, tmp_path):
         path = tmp_path / "v.bin"
-        write_cache(str(path), {"a": (content_digest("x"), np.ones(8)),
-                                "bé": (content_digest("y"), np.zeros(8))}, 8)
+        write_cache(str(path), {content_digest("x"): np.ones(8), content_digest("y"): np.zeros(8)}, 8)
         data = path.read_bytes()
         for cut in range(len(data)):
             path.write_bytes(data[:cut])
             with pytest.raises(CacheInvalidError):
                 read_cache(str(path))
 
-    def test_key_not_utf8_is_invalid(self, tmp_path):
+    @pytest.mark.parametrize("at, field", [(8, struct.pack("<I", 2**32 - 1)), (12, struct.pack("<Q", 2**63))],
+                             ids=["dimension", "count"])
+    def test_size_past_the_end_is_invalid_and_not_allocated(self, tmp_path, at, field):
         path = tmp_path / "v.bin"
-        write_cache(str(path), {"a": (content_digest("x"), np.ones(8))}, 8)
+        write_cache(str(path), {content_digest("x"): np.ones(8)}, 8)
         data = path.read_bytes()
-        at = len(CACHE_MAGIC) + 16 + 4  # the key's one byte
-        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
-        with pytest.raises(CacheInvalidError, match="UTF-8"):
-            read_cache(str(path))
-
-    @pytest.mark.parametrize("at, size", [(8, 2**32 - 1), (20, 2**32 - 16)],
-                             ids=["dimension", "key-length"])
-    def test_size_past_the_end_is_invalid_and_not_allocated(self, tmp_path, at, size):
-        path = tmp_path / "v.bin"
-        write_cache(str(path), {"a": (content_digest("x"), np.ones(8))}, 8)
-        data = path.read_bytes()
-        path.write_bytes(data[:at] + struct.pack("<I", size) + data[at + 4:])
+        path.write_bytes(data[:at] + field + data[at + len(field):])
         tracemalloc.start()
         try:
-            with pytest.raises(CacheInvalidError, match="truncated"):
+            with pytest.raises(CacheInvalidError, match="bytes, not .* records of dimension"):
                 read_cache(str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -2,7 +2,9 @@ import gc
 import gzip
 import io
 import json
+import os
 import random
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -100,6 +102,16 @@ class TestLoad:
         assert queries == [("q1", "find a")] and qrels == {"q1": {"a"}}
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
+    @pytest.mark.parametrize("pack", [lambda b: b, gzip.compress], ids=["plain", "gzip"])
+    def test_pipe_stream(self, pack):
+        # A pipe cannot seek back over the gzip sniff; it is read, and left open.
+        r, w = os.pipe()
+        with os.fdopen(r, "rb") as fh:
+            with os.fdopen(w, "wb") as out:
+                out.write(pack(_QUERIES))
+            assert load_queries(fh) == [("q1", "find a")]
+            assert not fh.closed
+
     def test_caller_stream_left_open(self):
         nodes = io.BytesIO(gzip.compress(_nodes_bytes(["a", "b"])))
         edges = io.BytesIO(_edges_bytes([("a", "b")]))
@@ -127,6 +139,21 @@ class TestLoad:
     def test_empty_key_rejected(self):
         with pytest.raises(GraphValidationError):
             CorpusGraph({"": "x"}, [])
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\rb", "a\nb", "ab\r", "\ufeffa"])
+    def test_key_the_edges_file_cannot_hold_is_rejected_before_writing(self, tmp_path, bad):
+        g = CorpusGraph({bad: "x", "c": "y"}, [(bad, "c")])
+        np_, ep = tmp_path / "n.jsonl", tmp_path / "e.tsv"
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            save_graph(g, str(np_), str(ep))
+        assert not np_.exists() and not ep.exists()
+
+    def test_key_with_tab_off_every_edge_roundtrips(self, tmp_path):
+        g = CorpusGraph({"a\tb": "x", "c": "y", "d": "z"}, [("c", "d")])
+        np_, ep = str(tmp_path / "n.jsonl"), str(tmp_path / "e.tsv")
+        save_graph(g, np_, ep)
+        g2 = load_graph(np_, ep)
+        assert g2.node_keys == g.node_keys and g2.content("a\tb") == "x"
 
 
 @st.composite
@@ -355,6 +382,14 @@ class TestPageRank:
         ref = [want[k] for k in ranked_keys]
         for i, s in enumerate(ref):
             assert all(s >= later - 1e-12 for later in ref[i + 1:])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_seed_score_names_seed(self, bad):
+        g = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        seeds = RankedList([("a", 1.0), ("c", bad)])
+        for run in (ppr_scores, personalized_pagerank):
+            with pytest.raises(ValueError, match="non-finite seed score for 'c'"):
+                run(g, seeds)
 
     def test_top_k_ties_break_by_key(self):
         g = make_graph(["hub", "s3", "s1", "s2"], [("hub", "s1"), ("hub", "s2"), ("hub", "s3")])

@@ -422,3 +422,21 @@ class TestAffineHead:
     def test_bad_layers_rejected_when_built(self, layers, where):
         with pytest.raises(ValueError, match=where):
             AffineHead(layers)
+
+    @pytest.mark.parametrize("payload, where", [
+        ({"bias": [0.0]}, "layer 0 has no 'weights' field"),
+        ({"weights": [[1.0]]}, "layer 0 has no 'bias' field"),
+        ({"layers": [{"weights": [[1.0]], "bias": [0.0]}, {"weights": [[1.0]]}]}, "layer 1 has no 'bias' field"),
+        ({"layers": [[1.0]]}, "layer 0 has no 'weights' field"),
+        ({"layers": {"weights": [[1.0]], "bias": [0.0]}}, "not an object with"),
+        ([[1.0]], "not an object with"),
+        ({"weights": {"a": 1.0}, "bias": [0.0]}, "float"),
+        ({"weights": [[1.0, 2.0]], "bias": [0.0, 0.0]}, "layer 0: bias"),
+    ], ids=["no-weights", "no-bias", "second-layer-no-bias", "layer-not-object", "layers-not-list",
+            "not-object", "weights-not-numbers", "bias-length"])
+    def test_bad_file_names_path_and_field(self, tmp_path, payload, where):
+        path = tmp_path / "head.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=where) as info:
+            AffineHead.from_file(str(path))
+        assert repr(str(path)) in str(info.value)
