@@ -297,11 +297,11 @@ def build_index(
 
     With a ``cache_path``, each node's content digest is computed once and,
     when the cache exists, a node whose digest it holds takes the cached
-    vector, whatever the node's key; every other node is encoded, and if any
-    was, the cache is rewritten with the current nodes' vectors only (nodes of
-    equal content share one record). The cache holds the encoder's vectors
-    exactly, so a cached index equals a fresh one. A cache with a different
-    dimension raises :class:`CacheInvalidError`.
+    vector, whatever the node's key; every other content is encoded once, for
+    its first node, and if any was, the cache is rewritten with the current
+    nodes' vectors only (one record per content). The cache holds the
+    encoder's vectors exactly, so a cached index equals a fresh one. A cache
+    with a different dimension raises :class:`CacheInvalidError`.
     """
     d = emb.dimension
     cached: Dict[bytes, np.ndarray] = {}
@@ -315,6 +315,8 @@ def build_index(
 
     vectors = {key: cached[digest] for key, digest in digests.items() if digest in cached}
     todo = [key for key in g.node_keys if key not in vectors]
+    first: Dict[bytes, str] = {}  # with a cache: each uncached content's first node
+    todo = [key for key in todo if first.setdefault(digests[key], key) == key] if digests else todo
     encode, size = emb.encode_nodes, emb.batch_size
     for start in range(0, len(todo), size):
         chunk = todo[start:start + size]
@@ -322,6 +324,7 @@ def build_index(
             vectors.update(zip(chunk, encode([g.content(key) for key in chunk])))
         except Exception as exc:  # noqa: BLE001 - rewrap with the chunk's first key
             raise EncoderError(chunk[0], str(exc)) from exc
+    vectors.update((key, vectors[first[digest]]) for key, digest in digests.items() if key not in vectors)
 
     index = EmbeddingIndex(vectors, d, normalize=True)
     index.keys = g.node_keys  # the equal sorted tuple: index rows are node ids

@@ -14,6 +14,7 @@ import gzip
 import io
 import json
 import logging
+import math
 from array import array
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -43,14 +44,16 @@ class CorpusGraph:
     ids of node ``i`` are ``indices[indptr[i]:indptr[i + 1]]``, distinct and
     ascending, so every traversal is deterministic. A node's neighbors are
     the nodes an edge joins it to in either direction; :meth:`neighbors`
-    and :meth:`degree` read them from the CSR by key. The distinct directed
-    edges as given are kept only so that :func:`save_graph` writes them
-    back unchanged. Instances are safe to share across threads after
+    and :meth:`degree` read them from the CSR by key. The tuple
+    ``path_weights`` holds ``math.log1p(degree)`` of every node id, computed
+    once: the node weights of topological recall's path search. The distinct
+    directed edges as given are kept only so that :func:`save_graph` writes
+    them back unchanged. Instances are safe to share across threads after
     construction.
     """
 
     __slots__ = ("_content", "_keys", "_index", "_indptr", "_indices",
-                 "_degrees", "_directed", "self_loops_dropped")
+                 "_degrees", "path_weights", "_directed", "self_loops_dropped")
 
     def __init__(self, nodes: Dict[str, str], edges: Iterable[Tuple[str, str]]):
         content: Dict[str, str] = {}
@@ -94,6 +97,8 @@ class CorpusGraph:
         self._indptr = indptr
         self._indices = cols
         self._degrees = degrees
+        weights = [math.log1p(d) for d in range(int(degrees.max(initial=0)) + 1)]  # one float per degree
+        self.path_weights = tuple(map(weights.__getitem__, degrees.tolist()))
         self._directed = directed
         self.self_loops_dropped = self_loops
 

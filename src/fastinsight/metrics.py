@@ -22,7 +22,11 @@ RetLike = Union[RankedList, Iterable[str]]
 def _ret_keys(ret: RetLike) -> Tuple[str, ...]:
     if isinstance(ret, RankedList):
         return ret.keys()
-    return tuple(ret)
+    keys = tuple(ret)
+    if len(set(keys)) < len(keys):
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"retrieved key {repeated!r} is repeated")
+    return keys
 
 
 class SettledCosts(dict):
@@ -50,9 +54,9 @@ def seed_path_costs(
     in cost, and every cost in it is final. A target's first settled
     neighbor is thus its cheapest; its cost is ``.resolved[t]``.
 
-    The search runs over node ids and reads the CSR in place, so a call
-    costs only the region it settles; ``(cost, id)`` heap entries pop in
-    ``(cost, key)`` order, because ids ascend with keys.
+    The search runs over node ids and reads the CSR and ``g.path_weights`` in
+    place, so a call costs only the region it settles; ``(cost, id)`` heap
+    entries pop in ``(cost, key)`` order, because ids ascend with keys.
     """
     seed_ids = g.own(ret).ids if isinstance(ret, RankedList) else g.ids(tuple(ret))
     pending = None if targets is None else set(g.ids(tuple(targets)).tolist())
@@ -61,52 +65,43 @@ def seed_path_costs(
     if pending is not None and not pending:
         return out
 
-    seeds = set(seed_ids.tolist())
-    ptr, nbrs = memoryview(g.indptr), memoryview(g.indices)
-    best = {i: math.log1p(ptr[i + 1] - ptr[i]) for i in seeds}
-    heap = [(cost, i) for i, cost in best.items()]
+    ptr, nbrs, weight = memoryview(g.indptr), memoryview(g.indices), g.path_weights
+    queued = set(seed_ids.tolist())
+    heap = [(weight[i], i) for i in queued]
     heapq.heapify(heap)
 
     settled: Dict[int, float] = {}
     resolved: Dict[int, float] = {}
     while heap and (pending is None or pending):
         cost, node = heapq.heappop(heap)
-        if node in settled:
-            continue
         settled[node] = cost
         for nb in nbrs[ptr[node]:ptr[node + 1]]:
-            # Undirected: node neighbors nb. A settled target (a seed) resolves too.
+            # Undirected: node neighbors nb. Checked before `queued`: a seed or queued target resolves too.
             if pending and nb in pending:
                 pending.remove(nb)
                 resolved[nb] = cost
-            if nb in settled:
-                continue
-            cand = cost + math.log1p(ptr[nb + 1] - ptr[nb])
-            if nb not in best or cand < best[nb]:
-                best[nb] = cand
-                heapq.heappush(heap, (cand, nb))
+            if nb not in queued:  # nodes settle in non-decreasing cost: the first relaxation is final
+                queued.add(nb)
+                heapq.heappush(heap, (cost + weight[nb], nb))
     keys = g.node_keys
     out.update((keys[i], cost) for i, cost in settled.items())
     out.resolved.update((keys[i], cost) for i, cost in resolved.items())
     return out
 
 
-def uncertainty(
-    g: CorpusGraph,
-    ret_keys: Iterable[str],
-    target: str,
-) -> float:
-    """Accumulated log-degree along the cheapest retrieved-to-target path.
+def uncertainty(g: CorpusGraph, ret: RetLike, target: str) -> float:
+    """Accumulated log-degree along the cheapest path from ``ret`` to ``target``.
 
     The seed's own weight is included; the target's is excluded. Targets in
     the retrieved set cost 0; unreachable targets cost infinity.
     """
     if target not in g:
         raise UnknownNodeError(target)
-    ret_set = set(ret_keys)
-    if target in ret_set:
+    if not isinstance(ret, RankedList):
+        ret = tuple(ret)
+    if target in _ret_keys(ret):
         return 0.0
-    return seed_path_costs(g, tuple(ret_set), (target,)).resolved.get(target, math.inf)
+    return seed_path_costs(g, ret, (target,)).resolved.get(target, math.inf)
 
 
 def recall_uncapped(ret: RetLike, oracle: Set[str]) -> float:

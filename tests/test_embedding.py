@@ -121,6 +121,13 @@ class TestBuildIndex:
         assert emb.calls == 0
         assert np.array_equal(cached.matrix, fresh.matrix)
 
+    def test_cold_build_encodes_equal_content_once(self, tmp_path):
+        g = make_graph(["a", "b", "c"], [], contents={"a": "same text", "b": "other", "c": "same text"})
+        emb = CountingEmbedder(32)
+        cold = build_index(g, emb, cache_path=str(tmp_path / "vectors.bin"))
+        assert emb.calls == 2  # one per distinct content, not one per node
+        assert np.array_equal(cold.matrix, build_index(g, HashEmbedder(32)).matrix)
+
     def test_renamed_node_with_same_content_is_a_hit(self, tmp_path):
         cache = str(tmp_path / "vectors.bin")
         build_index(make_graph(["a", "b"], [], contents={"a": "alpha", "b": "beta"}),

@@ -2,6 +2,7 @@ import gc
 import gzip
 import io
 import json
+import math
 import os
 import random
 import re
@@ -228,8 +229,9 @@ class TestCSR:
             induced(g, g.ids(sub + ["?"]))
 
     def test_memory_one_adjacency(self):
-        # A 20,000-node ring retains 2.2 MiB, of which the CSR arrays are
-        # 0.61 MiB; a second, per-key adjacency beside the CSR makes it 3.7.
+        # A 20,000-node ring retains 2.4 MiB, of which the CSR arrays are
+        # 0.61 MiB and the path weights 0.15 MiB; a second, per-key adjacency
+        # beside the CSR makes it 3.9.
         n = 20000
         keys = [f"r{i:05d}" for i in range(n)]
         nodes = {k: k for k in keys}
@@ -241,6 +243,19 @@ class TestCSR:
             tracemalloc.stop()
         assert g.degree(keys[0]) == 2
         assert retained < 3 * 2**20
+
+    def test_path_weights_are_math_log1p_of_degree(self):
+        # Stars of 47 and 13 leaves, a path a-b-c and an isolated node: degrees
+        # 0, 1, 2, 13 and 47, where np.log1p can differ from math.log1p by an
+        # ulp; the path search's costs must stay those of math.log1p.
+        edges = [("h47", f"l{i:02d}") for i in range(47)] + [("h13", f"m{i:02d}") for i in range(13)]
+        edges += [("a", "b"), ("b", "c")]
+        keys = sorted({k for e in edges for k in e} | {"iso"})
+        g = make_graph(keys, edges)
+        assert {0, 1, 2, 13, 47} <= set(g.degrees.tolist())
+        assert type(g.path_weights) is tuple and len(g.path_weights) == g.n_nodes
+        for i, w in enumerate(g.path_weights):
+            assert w == math.log1p(int(g.degrees[i])) and type(w) is float
 
     def test_arrays_read_only(self, path_graph):
         with pytest.raises(ValueError):

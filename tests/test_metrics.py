@@ -174,6 +174,16 @@ class TestSetMetrics:
         got = ndcg_at_k(ranked("x", "g1"), {"g1", "g2"}, 2)
         assert got == pytest.approx((1 / math.log2(3)) / (1 + 1 / math.log2(3)))
 
+    def test_repeated_key_rejected(self):
+        # Counted twice, a gold key would push nDCG above 1 (1.63 here).
+        for metric in (lambda ret: ndcg_at_k(ret, {"a"}, 2),
+                       lambda ret: capped_recall_at_k(ret, {"a"}, 2),
+                       lambda ret: recall_uncapped(ret, {"a"}),
+                       lambda ret: topological_recall(make_graph(["a", "b"], []), ret, {"a"})):
+            with pytest.raises(ValueError, match="'a' is repeated"):
+                metric(["b", "a", "a"])
+        assert ndcg_at_k(ranked("a", "b"), {"a"}, 2) == 1.0
+
     def test_ndcg_perfect_is_one(self):
         assert ndcg_at_k(ranked("g1", "g2", "x"), {"g1", "g2"}, 3) == pytest.approx(1.0)
 
@@ -230,6 +240,14 @@ class TestUncertainty:
                 assert math.isinf(got)
             else:
                 assert got == pytest.approx(want, abs=1e-9)
+
+    def test_ranked_list_equals_its_keys(self):
+        g = make_graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+        ret = ranked("b", "a")
+        for target in ("a", "c", "d"):  # retrieved, then one and two hops out
+            assert uncertainty(g, ret, target) == uncertainty(g, ["b", "a"], target)
+        assert uncertainty(g, ret, "a") == 0.0
+        assert uncertainty(g, ranked("a"), "c") == uncertainty(g, ["a"], "c") > 0
 
     def test_seed_path_costs_covers_component(self, path_graph):
         costs = seed_path_costs(path_graph, ["a"])
@@ -336,6 +354,27 @@ class TestOnePassSearch:
         assert list(got.items()) == list(want.items())
         assert got.resolved == ({} if targets is None
                                 else _two_pass_costs_to_predecessors(g, ret, targets))
+
+    def test_matches_two_pass_reference_with_hubs(self):
+        # Seeded preferential attachment: hubs far above degree 47, so each
+        # hub is relaxed from many settled neighbours.
+        rng = random.Random(2511)
+        keys = [f"v{i:03d}" for i in range(300)]
+        edges, ends = [(keys[0], keys[1])], [keys[0], keys[1]]
+        for key in keys[2:]:
+            for nb in sorted({rng.choice(ends), rng.choice(ends)}):
+                edges.append((key, nb))
+                ends += [key, nb]
+        g = make_graph(keys, edges)
+        assert g.degrees.max() > 47
+        for _ in range(20):
+            ret = rng.sample(keys, rng.randint(1, 10))
+            for targets in (None, rng.sample(keys, rng.randint(1, 8))):
+                got = seed_path_costs(g, ret, targets=targets)
+                want = _two_pass_seed_path_costs(g, ret, targets=targets)
+                assert list(got.items()) == list(want.items())
+                assert got.resolved == ({} if targets is None
+                                        else _two_pass_costs_to_predecessors(g, ret, targets))
 
 
 _TR_SCRIPT = """
