@@ -3,9 +3,10 @@
 Edges are directed on disk, but every operator (degrees, frontiers,
 propagation matrices, path metrics, PageRank) sees the undirected graph:
 two nodes are neighbors when an edge joins them in either direction. The
-graph is stored as integer CSR over node ids in ascending key order, and
-personalized PageRank runs as a sparse iteration over it, in O(n + edges)
-memory.
+graph is stored as integer CSR over node ids in ascending key order.
+Personalized PageRank runs as a sparse iteration over the CSR of the seeds'
+connected components only, since no mass can leave them; the component
+labels it selects them by are built on its first call.
 """
 
 from __future__ import annotations
@@ -48,12 +49,14 @@ class CorpusGraph:
     ``path_weights`` holds ``math.log1p(degree)`` of every node id, computed
     once: the node weights of topological recall's path search. The distinct
     directed edges as given are kept only so that :func:`save_graph` writes
-    them back unchanged. Instances are safe to share across threads after
-    construction.
+    them back unchanged. :attr:`component_labels` is built on first read.
+    Instances are safe to share across threads after construction: readers
+    that race on the first read each build an equal array, and one of them
+    is kept.
     """
 
     __slots__ = ("_content", "_keys", "_index", "_indptr", "_indices",
-                 "_degrees", "path_weights", "_directed", "self_loops_dropped")
+                 "_degrees", "path_weights", "_directed", "self_loops_dropped", "_labels")
 
     def __init__(self, nodes: Dict[str, str], edges: Iterable[Tuple[str, str]]):
         content: Dict[str, str] = {}
@@ -101,6 +104,7 @@ class CorpusGraph:
         self.path_weights = tuple(map(weights.__getitem__, degrees.tolist()))
         self._directed = directed
         self.self_loops_dropped = self_loops
+        self._labels = None
 
     @property
     def node_keys(self) -> Tuple[str, ...]:
@@ -130,6 +134,14 @@ class CorpusGraph:
         """Neighbor count of every node id (read-only), ``np.diff(indptr)``."""
         return self._degrees
 
+    @property
+    def component_labels(self) -> np.ndarray:
+        """Smallest node id in the connected component of every node id
+        (read-only), built on first read by :func:`_component_labels`."""
+        if self._labels is None:
+            self._labels = _component_labels(self._indptr, self._indices)
+        return self._labels
+
     def __contains__(self, key: object) -> bool:
         return key in self._content
 
@@ -156,6 +168,35 @@ class CorpusGraph:
         key; a key the graph lacks raises :class:`UnknownNodeError`."""
         ids = table_rows(self._keys, self._index, ret.names, ret.ids)
         return ret if ids is ret.ids else RankedList.of(self._keys, ids, ret.scores)
+
+
+def _component_labels(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Smallest node id of each node's connected component in a symmetric
+    CSR, by hook-and-shortcut rounds (Shiloach & Vishkin, J. Algorithms 1982).
+
+    Every node points at a node of its own component with an id no larger
+    than its own, at first itself. A round shortcuts each node to the root of
+    its tree, then hooks each root under the smallest root next to its tree,
+    if smaller. Each tree that is not the smallest of its neighbors is thus
+    merged in every round, and one that is, in the next, so the rounds are
+    O(log n); they stop when no root moves, and every node then points at
+    its component's smallest id.
+    """
+    label = np.arange(len(indptr) - 1)
+    rows = np.flatnonzero(np.diff(indptr))  # reduceat needs non-empty rows
+    while len(rows):
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+        hooked = label.copy()
+        np.minimum.at(hooked, label[rows], np.minimum.reduceat(label[indices], indptr[rows]))
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    label.flags.writeable = False
+    return label
 
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
@@ -373,38 +414,60 @@ def _ppr_vector(
 
     seeds = g.own(seeds)
     scores = seeds.scores
-    p0 = np.zeros(n)
-    p0[seeds.ids] = scores
     if not np.isfinite(scores).all():
         raise ValueError(f"non-finite seed score for {seeds.keys()[int(np.argmin(np.isfinite(scores)))]!r}")
     if (scores < 0).any():
         raise ValueError(f"negative seed score for {seeds.keys()[int(np.argmax(scores < 0))]!r}")
+
+    # No mass leaves the seeds' components, so the walk runs on their local
+    # CSR (ids ascending, so each row sums its entries in the full graph's
+    # order) and the rest of the graph keeps score 0.
+    labels = g.component_labels
+    keep = np.zeros(n, dtype=bool)
+    keep[labels[seeds.ids]] = True
+    keep = keep[labels]
+    nodes = np.flatnonzero(keep)
+    deg = g.degrees[nodes]
+    rows = np.repeat(np.arange(len(nodes)), deg)
+    # The kept rows' entries are those that name a kept node; each becomes
+    # that node's local id.
+    cols = (np.cumsum(keep) - 1)[g.indices[keep[g.indices]]]
+
+    p0 = np.zeros(n)
+    p0[seeds.ids] = scores
+    # Summed over all n ids in id order: its rounding sets the last bit of
+    # every score, and so the order of near-tied nodes.
     total = p0.sum()
     if total <= 0:
         raise ValueError("seed scores are all zero")
-    p0 /= total
+    p0 = p0[nodes] / total
 
-    # M p as a sparse mat-vec over the CSR: (M p)_i = sum over neighbors j of
-    # p_j / deg_j. Dangling columns (degree 0) are tracked separately.
-    deg = g.degrees
-    dangling = deg == 0
-    inv_deg = np.divide(1.0, deg, out=np.zeros(n), where=~dangling)
-    rows = np.repeat(np.arange(n), deg)
-    cols = g.indices
+    # M p as a sparse mat-vec over that CSR: (M p)_i = sum over neighbors j
+    # of p_j / deg_j. Dangling columns (degree 0) are tracked separately.
+    dangling = np.flatnonzero(deg == 0)
+    inv_deg = np.divide(1.0, deg, out=np.zeros(len(nodes)), where=deg != 0)
+    teleport = restart * p0
+    scaled, spread = np.empty(len(nodes)), np.empty(len(cols))  # reused by every step
 
-    p = p0.copy()
+    p = p0
     residual = np.inf
-    for _ in range(max_iter):
+    for step in range(1, max_iter + 1):
         loose = p[dangling].sum()
-        walk = np.bincount(rows, weights=(p * inv_deg)[cols], minlength=n)
-        p_next = (1.0 - restart) * (walk + loose * p0) + restart * p0
+        # cols are in range; "clip" spares take's buffered copy into spread
+        np.take(np.multiply(p, inv_deg, out=scaled), cols, out=spread, mode="clip")
+        walk = np.bincount(rows, weights=spread, minlength=len(nodes))
+        p_next = (1.0 - restart) * (walk + loose * p0) + teleport
         residual = float(np.abs(p_next - p).sum())
         p = p_next
         if residual < tol:
             break
     else:
         raise ConvergenceError(residual, max_iter)
-    return p
+    logger.debug("ppr: %d component nodes, %d CSR entries, %d iterations, residual %.3g",
+                 len(nodes), len(cols), step, residual)
+    out = np.zeros(n)
+    out[nodes] = p
+    return out
 
 
 def ppr_scores(
@@ -421,7 +484,10 @@ def ppr_scores(
     L1-normalized seed score distribution, until the L1 change drops below
     ``tol``. Mass on dangling nodes is redistributed to the seed distribution,
     so scores always sum to 1. M is never formed: each step is one sparse
-    mat-vec over the graph's CSR, so memory is O(n + edges).
+    mat-vec over the CSR of the seeds' connected components, the only nodes
+    that can hold mass, so a step costs O(their nodes + entries) and every
+    other node scores exactly 0.0. The first call on a graph builds its
+    :attr:`CorpusGraph.component_labels`.
     """
     p = _ppr_vector(g, seeds, restart, tol, max_iter)
     return dict(zip(g.node_keys, p.tolist()))

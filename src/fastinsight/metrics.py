@@ -183,6 +183,8 @@ def miss_tr(g: CorpusGraph, ret: RetLike, oracle: Set[str]) -> float:
     node was retrieved."""
     if not oracle:
         raise ValueError("oracle set is empty")
+    if not isinstance(ret, RankedList):
+        ret = tuple(ret)
     if oracle <= set(_ret_keys(ret)):
         return 0.0
     return tr_and_miss_tr(g, ret, oracle)[1]

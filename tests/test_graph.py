@@ -2,6 +2,7 @@ import gc
 import gzip
 import io
 import json
+import logging
 import math
 import os
 import random
@@ -9,6 +10,7 @@ import re
 import tempfile
 import tracemalloc
 import warnings
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from fastinsight.errors import (
     GraphValidationError,
     UnknownNodeError,
 )
+from fastinsight import graph as graph_module
 from fastinsight.graph import induced
 from fastinsight.runner import load_queries
 
@@ -311,6 +314,68 @@ class TestTopology:
             assert f == sorted(f)
 
 
+@st.composite
+def _component_case(draw):
+    """Up to 40 nodes joined by random pairs, self-loops (dropped) and
+    isolated nodes included."""
+    n = draw(st.integers(1, 40))
+    keys = [f"k{i:02d}" for i in range(n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    return make_graph(keys, [(keys[a], keys[b]) for a, b in pairs])
+
+
+def _bfs_labels(g):
+    """Smallest node id in each node's component: one breadth-first search
+    over the key API per component, started from ids in ascending order."""
+    ids = {key: i for i, key in enumerate(g.node_keys)}
+    labels = [None] * g.n_nodes
+    for start, key in enumerate(g.node_keys):
+        if labels[start] is not None:
+            continue
+        labels[start] = start
+        queue = deque([key])
+        while queue:
+            for nb in g.neighbors(queue.popleft()):
+                if labels[ids[nb]] is None:
+                    labels[ids[nb]] = start
+                    queue.append(nb)
+    return labels
+
+
+class TestComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(_component_case())
+    def test_labels_match_bfs(self, g):
+        labels = g.component_labels
+        assert labels.tolist() == _bfs_labels(g)
+        with pytest.raises(ValueError):
+            labels[0] = 0
+
+    def test_long_shuffled_path_is_one_component(self):
+        # Ids in random order along the path: plain min-label propagation
+        # would need a round per hop; hook-and-shortcut needs a few.
+        keys = [f"p{i:04d}" for i in range(3000)]
+        order = random.Random(3).sample(keys, len(keys))
+        g = make_graph(keys, zip(order, order[1:]))
+        assert not g.component_labels.any()
+
+    def test_built_once_and_only_for_pagerank(self, monkeypatch):
+        builds = []
+        real = graph_module._component_labels
+
+        def counting(*args):
+            builds.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(graph_module, "_component_labels", counting)
+        g = make_graph(["a", "b", "c"], [("a", "b")])
+        frontier(g, ranked("a"))
+        assert builds == []
+        ppr_scores(g, ranked("a"))
+        personalized_pagerank(g, ranked("c"))
+        assert len(builds) == 1 and g.component_labels.tolist() == [0, 0, 2]
+
+
 def _ppr_power_oracle(g, seeds, restart, steps=10_000):
     """Dense power iteration, dangling mass to the seed distribution."""
     keys = g.node_keys
@@ -397,6 +462,65 @@ class TestPageRank:
         ref = [want[k] for k in ranked_keys]
         for i, s in enumerate(ref):
             assert all(s >= later - 1e-12 for later in ref[i + 1:])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_edge_case(), _edge_case(), st.data())
+    def test_other_components_change_nothing(self, g_case, h_case, data):
+        # G alone and G plus a disjoint H, seeds in G: H's nodes sort in among
+        # G's, yet G's scores are bit-equal and every H node scores exactly 0.
+        # The seed total sums over all n ids, so the seed scores are dyadic:
+        # their sum is exact in any order, whatever n is.
+        keys, edges = g_case
+        seed_keys = data.draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+        scores = data.draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]), min_size=len(seed_keys),
+                                    max_size=len(seed_keys)))
+        seeds = RankedList(zip(seed_keys, scores))
+        h_keys = [f"h:{k}" for k in h_case[0]]
+        h_edges = [(f"h:{a}", f"h:{b}") for a, b in h_case[1]]
+        self._check_union(make_graph(keys, edges), make_graph(keys + h_keys, edges + h_edges), seeds)
+
+    @pytest.mark.parametrize("seed_keys", [["d"], ["a", "e"], ["a", "d"], ["f", "d", "b"]])
+    def test_other_components_change_nothing_examples(self, seed_keys):
+        # G: path a-b-c, isolated d (a dangling seed), edge e-f; H: a ring
+        # whose keys sort among G's.
+        g_edges = [("a", "b"), ("b", "c"), ("e", "f")]
+        h_keys = ["b1", "c1", "d1", "e1"]
+        h_edges = list(zip(h_keys, h_keys[1:] + h_keys[:1]))
+        seeds = RankedList(zip(seed_keys, [0.5, 1.0, 2.0]))
+        self._check_union(make_graph(list("abcdef"), g_edges),
+                          make_graph(list("abcdef") + h_keys, g_edges + h_edges), seeds)
+
+    @staticmethod
+    def _check_union(g, union, seeds):
+        alone = ppr_scores(g, seeds)
+        both = ppr_scores(union, seeds)
+        assert {k: both[k] for k in g.node_keys} == alone
+        assert all(both[k] == 0.0 for k in union.node_keys if k not in g)
+        ranked_keys = personalized_pagerank(union, seeds, k=union.n_nodes).keys()
+        zero = [k for k in ranked_keys if both[k] == 0.0]
+        assert ranked_keys[len(ranked_keys) - len(zero):] == tuple(zero) == tuple(sorted(zero))
+
+    def test_steps_touch_only_the_seed_component(self, monkeypatch, caplog):
+        # A 5-node path (8 CSR entries) holds the seed; a 40-node ring (80
+        # entries) does not. Every step's mat-vec bins the path's entries only.
+        path = [f"p{i}" for i in range(5)]
+        ring = [f"r{i:02d}" for i in range(40)]
+        g = make_graph(path + ring, list(zip(path, path[1:])) + list(zip(ring, ring[1:] + ring[:1])))
+        g.component_labels  # built before the count starts
+        calls = []
+        real = graph_module.np.bincount
+
+        def counting(x, *args, **kwargs):
+            calls.append((len(x), len(kwargs["weights"]), kwargs["minlength"]))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(graph_module.np, "bincount", counting)
+        with caplog.at_level(logging.DEBUG, logger="fastinsight.graph"):
+            ppr_scores(g, ranked("p0"))
+        assert calls and set(calls) == {(8, 8, 5)}
+        (record,) = caplog.records
+        assert record.getMessage().startswith(
+            f"ppr: 5 component nodes, 8 CSR entries, {len(calls)} iterations, residual ")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_seed_score_names_seed(self, bad):

@@ -310,6 +310,14 @@ class TestTopologicalRecall:
     def test_miss_tr_zero_when_all_retrieved(self, path_graph):
         assert miss_tr(path_graph, ["a", "b", "c"], {"a", "c"}) == 0.0
 
+    @pytest.mark.parametrize("metric", [miss_tr, topological_recall, tr_and_miss_tr])
+    def test_one_shot_iterator_equals_list(self, path_graph, metric):
+        # A one-shot iterator's keys are read once; read twice, the path
+        # search would find no seeds and miss_tr would be 0.0, not 0.2953.
+        for oracle in ({"a", "b"}, {"a"}, {"c"}):
+            assert metric(path_graph, iter(["a"]), oracle) == metric(path_graph, ["a"], oracle)
+        assert miss_tr(path_graph, iter(["a"]), {"a", "b"}) == pytest.approx(0.5 / (1.0 + LN2))
+
 
 class TestEarlyStop:
     @settings(max_examples=300, deadline=None)
