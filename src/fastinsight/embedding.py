@@ -291,45 +291,50 @@ def build_index(
     """Encode every node of the graph into a unit-normalized
     :class:`EmbeddingIndex` whose ``keys`` is ``g.node_keys``.
 
-    Nodes are encoded through ``emb.encode_nodes`` in ``node_keys`` order, in
-    chunks of ``emb.batch_size``; a failing chunk raises :class:`EncoderError`
-    naming its first key.
+    Each distinct text of ``g.contents`` is encoded once, through
+    ``emb.encode_nodes`` in the id order of its first node, in chunks of
+    ``emb.batch_size``, and every node with that text takes its vector. A
+    failing chunk, or one answered with another number of vectors than it
+    sent, raises :class:`EncoderError` naming its first text's first key.
 
-    With a ``cache_path``, each node's content digest is computed once and,
-    when the cache exists, a node whose digest it holds takes the cached
-    vector, whatever the node's key; every other content is encoded once, for
-    its first node, and if any was, the cache is rewritten with the current
-    nodes' vectors only (one record per content). The cache holds the
-    encoder's vectors exactly, so a cached index equals a fresh one. A cache
-    with a different dimension raises :class:`CacheInvalidError`.
+    With a ``cache_path``, each distinct text's content digest is computed
+    once and, when the cache exists, a text whose digest it holds takes the
+    cached vector, whatever the node's key; if any text was encoded, the
+    cache is rewritten with the current texts' vectors only (one record per
+    text). The cache holds the encoder's vectors exactly, so a cached index
+    equals a fresh one. A cache with a different dimension raises
+    :class:`CacheInvalidError`.
     """
     d = emb.dimension
-    cached: Dict[bytes, np.ndarray] = {}
-    digests: Dict[str, bytes] = {}
+    first: Dict[str, int] = {}  # each distinct text's first node id, in id order
+    for i, text in enumerate(g.contents):
+        first.setdefault(text, i)
+    vectors: Dict[str, np.ndarray] = {}
     if cache_path is not None:
-        digests = {key: content_digest(g.content(key)) for key in g.node_keys}
+        digests = {text: content_digest(text) for text in first}
         if os.path.exists(cache_path):
             cached, cache_d = read_cache(cache_path)
             if cache_d != d:
                 raise CacheInvalidError(f"cache dimension {cache_d} != embedder dimension {d}")
+            vectors = {text: cached[digest] for text, digest in digests.items() if digest in cached}
 
-    vectors = {key: cached[digest] for key, digest in digests.items() if digest in cached}
-    todo = [key for key in g.node_keys if key not in vectors]
-    first: Dict[bytes, str] = {}  # with a cache: each uncached content's first node
-    todo = [key for key in todo if first.setdefault(digests[key], key) == key] if digests else todo
+    todo = [text for text in first if text not in vectors]
     encode, size = emb.encode_nodes, emb.batch_size
     for start in range(0, len(todo), size):
         chunk = todo[start:start + size]
+        key = g.node_keys[first[chunk[0]]]
         try:
-            vectors.update(zip(chunk, encode([g.content(key) for key in chunk])))
+            got = encode(chunk)
         except Exception as exc:  # noqa: BLE001 - rewrap with the chunk's first key
-            raise EncoderError(chunk[0], str(exc)) from exc
-    vectors.update((key, vectors[first[digest]]) for key, digest in digests.items() if key not in vectors)
+            raise EncoderError(key, str(exc)) from exc
+        if len(got) != len(chunk):
+            raise EncoderError(key, f"{len(got)} vectors for {len(chunk)} texts")
+        vectors.update(zip(chunk, got))
 
-    index = EmbeddingIndex(vectors, d, normalize=True)
+    index = EmbeddingIndex(dict(zip(g.node_keys, map(vectors.__getitem__, g.contents))), d, normalize=True)
     index.keys = g.node_keys  # the equal sorted tuple: index rows are node ids
     if cache_path is not None and todo:
-        write_cache(cache_path, {digests[key]: vectors[key] for key in g.node_keys}, d)
+        write_cache(cache_path, {digests[text]: vectors[text] for text in first}, d)
     return index
 
 

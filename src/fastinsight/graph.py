@@ -23,12 +23,7 @@ from typing import BinaryIO, Dict, Iterable, Iterator, List, Sequence, Set, Tupl
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    GraphFormatError,
-    GraphValidationError,
-    UnknownNodeError,
-)
+from .errors import ConvergenceError, GraphFormatError, GraphValidationError
 from .ranked import RankedList, key_rows, table_rows
 
 logger = logging.getLogger(__name__)
@@ -45,17 +40,19 @@ class CorpusGraph:
     ids of node ``i`` are ``indices[indptr[i]:indptr[i + 1]]``, distinct and
     ascending, so every traversal is deterministic. A node's neighbors are
     the nodes an edge joins it to in either direction; :meth:`neighbors`
-    and :meth:`degree` read them from the CSR by key. The tuple
-    ``path_weights`` holds ``math.log1p(degree)`` of every node id, computed
-    once: the node weights of topological recall's path search. The distinct
-    directed edges as given are kept only so that :func:`save_graph` writes
-    them back unchanged. :attr:`component_labels` is built on first read.
+    and :meth:`degree` read them from the CSR by key. Two tuples are indexed
+    by node id: ``contents`` holds each node's text, the one copy that the
+    encoder and the reranker read, and ``path_weights`` holds
+    ``math.log1p(degree)``, computed once: the node weights of topological
+    recall's path search. The distinct directed edges as given are kept only
+    so that :func:`save_graph` writes them back unchanged.
+    :attr:`component_labels` is built on first read.
     Instances are safe to share across threads after construction: readers
     that race on the first read each build an equal array, and one of them
     is kept.
     """
 
-    __slots__ = ("_content", "_keys", "_index", "_indptr", "_indices",
+    __slots__ = ("contents", "_keys", "_index", "_indptr", "_indices",
                  "_degrees", "path_weights", "_directed", "self_loops_dropped", "_labels")
 
     def __init__(self, nodes: Dict[str, str], edges: Iterable[Tuple[str, str]]):
@@ -94,7 +91,7 @@ class CorpusGraph:
         np.cumsum(degrees, out=indptr[1:])
         indptr.flags.writeable = cols.flags.writeable = degrees.flags.writeable = False
 
-        self._content = content
+        self.contents = tuple(map(content.__getitem__, keys))
         self._keys = keys
         self._index = index
         self._indptr = indptr
@@ -143,13 +140,10 @@ class CorpusGraph:
         return self._labels
 
     def __contains__(self, key: object) -> bool:
-        return key in self._content
+        return key in self._index
 
     def content(self, key: str) -> str:
-        try:
-            return self._content[key]
-        except KeyError:
-            raise UnknownNodeError(key) from None
+        return self.contents[self.ids((key,))[0]]
 
     def neighbors(self, key: str) -> Tuple[str, ...]:
         """Distinct neighbor keys of ``key``, sorted ascending: its CSR row."""
@@ -327,8 +321,8 @@ def save_graph(g: CorpusGraph, nodes_path: str, edges_path: str) -> None:
         if degree and (not _LINE_SAFE.isdisjoint(key) or key.startswith("\ufeff")):
             raise ValueError(f"node key {key!r} cannot be written to the edges file")
     with open(nodes_path, "w", encoding="utf-8") as fh:
-        for key in g.node_keys:
-            fh.write(json.dumps({"key": key, "content": g.content(key)}, sort_keys=True))
+        for key, text in zip(g.node_keys, g.contents):
+            fh.write(json.dumps({"key": key, "content": text}, sort_keys=True))
             fh.write("\n")
     keys = g.node_keys
     src_ids, dst_ids = np.divmod(g._directed, g.n_nodes)

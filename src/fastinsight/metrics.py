@@ -19,14 +19,10 @@ from .ranked import RankedList
 RetLike = Union[RankedList, Iterable[str]]
 
 
-def _ret_keys(ret: RetLike) -> Tuple[str, ...]:
-    if isinstance(ret, RankedList):
-        return ret.keys()
-    keys = tuple(ret)
-    if len(set(keys)) < len(keys):
-        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
-        raise ValueError(f"retrieved key {repeated!r} is repeated")
-    return keys
+def _ranked(ret: RetLike) -> RankedList:
+    """``ret`` itself if it is a :class:`RankedList`, else one built from its
+    keys, read once, each with score 0; a repeated key raises ``ValueError``."""
+    return ret if isinstance(ret, RankedList) else RankedList((key, 0.0) for key in ret)
 
 
 class SettledCosts(dict):
@@ -58,7 +54,7 @@ def seed_path_costs(
     place, so a call costs only the region it settles; ``(cost, id)`` heap
     entries pop in ``(cost, key)`` order, because ids ascend with keys.
     """
-    seed_ids = g.own(ret).ids if isinstance(ret, RankedList) else g.ids(tuple(ret))
+    seed_ids = g.own(_ranked(ret)).ids
     pending = None if targets is None else set(g.ids(tuple(targets)).tolist())
     out = SettledCosts()
     out.resolved = {}
@@ -97,9 +93,8 @@ def uncertainty(g: CorpusGraph, ret: RetLike, target: str) -> float:
     """
     if target not in g:
         raise UnknownNodeError(target)
-    if not isinstance(ret, RankedList):
-        ret = tuple(ret)
-    if target in _ret_keys(ret):
+    ret = _ranked(ret)
+    if target in ret:
         return 0.0
     return seed_path_costs(g, ret, (target,)).resolved.get(target, math.inf)
 
@@ -108,7 +103,7 @@ def recall_uncapped(ret: RetLike, oracle: Set[str]) -> float:
     """|oracle intersect retrieved| / |oracle| over the full retrieved set."""
     if not oracle:
         raise ValueError("oracle set is empty")
-    found = len(oracle & set(_ret_keys(ret)))
+    found = len(oracle & set(_ranked(ret).keys()))
     return found / len(oracle)
 
 
@@ -118,7 +113,7 @@ def capped_recall_at_k(ret: RetLike, oracle: Set[str], k: int) -> float:
         raise ValueError(f"k must be >= 1, got {k}")
     if not oracle:
         raise ValueError("oracle set is empty")
-    top = set(_ret_keys(ret)[:k])
+    top = set(_ranked(ret).keys()[:k])
     return len(top & oracle) / min(k, len(oracle))
 
 
@@ -128,7 +123,7 @@ def ndcg_at_k(ret: RetLike, oracle: Set[str], k: int) -> float:
         raise ValueError(f"k must be >= 1, got {k}")
     if not oracle:
         raise ValueError("oracle set is empty")
-    keys = _ret_keys(ret)[:k]
+    keys = _ranked(ret).keys()[:k]
     dcg = sum(1.0 / math.log2(rank + 1) for rank, key in enumerate(keys, start=1) if key in oracle)
     ideal = sum(1.0 / math.log2(rank + 1) for rank in range(1, min(k, len(oracle)) + 1))
     return dcg / ideal
@@ -148,9 +143,8 @@ def tr_and_miss_tr(
     """
     if not oracle:
         raise ValueError("oracle set is empty")
-    if not isinstance(ret, RankedList):
-        ret = tuple(ret)
-    ret_set = set(_ret_keys(ret))
+    ret = _ranked(ret)
+    ret_set = set(ret.keys())
     g.ids(tuple(oracle))  # an unknown gold key raises UnknownNodeError
     missed = sorted(oracle - ret_set)
     costs = seed_path_costs(g, ret, targets=missed).resolved
@@ -183,8 +177,7 @@ def miss_tr(g: CorpusGraph, ret: RetLike, oracle: Set[str]) -> float:
     node was retrieved."""
     if not oracle:
         raise ValueError("oracle set is empty")
-    if not isinstance(ret, RankedList):
-        ret = tuple(ret)
-    if oracle <= set(_ret_keys(ret)):
+    ret = _ranked(ret)
+    if oracle <= set(ret.keys()):
         return 0.0
     return tr_and_miss_tr(g, ret, oracle)[1]

@@ -24,7 +24,7 @@ class RankedList:
         for key, score in items:
             key = str(key)
             if key in table:
-                raise ValueError(f"duplicate key in ranked list: {key!r}")
+                raise ValueError(f"key {key!r} is repeated in a ranked list")
             table[key] = float(score)
         self.names = self._keys = tuple(table)
         self.ids = np.arange(len(table))

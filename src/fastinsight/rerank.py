@@ -194,8 +194,7 @@ class GRankerState:
             self._row = np.full(g.n_nodes, -1, dtype=np.intp)
         new = ids[self._row[ids] < 0]  # in list order
         if len(new):
-            keys = [g.node_keys[i] for i in new.tolist()]
-            rows = _extract(q, keys, [g.content(k) for k in keys], rr)
+            rows = _extract(q, g, new, rr)
             self._latents = rows if self._latents is None else np.concatenate([self._latents, rows])
             self._row[new] = np.arange(len(self._latents) - len(new), len(self._latents))
         return self._latents[self._row[ids]]
@@ -238,16 +237,17 @@ def fuse_latents(h: LatentBatch, p: PropagationMatrix, alpha: float) -> LatentBa
     return fused
 
 
-def _extract(q: str, keys: Sequence[str], contents: Sequence[str], rr: Reranker) -> LatentBatch:
-    """Latents of one non-empty batch of documents (``contents`` aligned with
-    ``keys``); a reranker failure is raised as :class:`RerankerError` naming
-    the batch's first key."""
+def _extract(q: str, g: CorpusGraph, ids: np.ndarray, rr: Reranker) -> LatentBatch:
+    """Latents of the texts of the non-empty batch of node ``ids``, in that
+    order; a reranker failure is raised as :class:`RerankerError` naming the
+    batch's first key."""
+    contents = list(map(g.contents.__getitem__, ids.tolist()))
     try:
-        latents = rr.extract_latents(q, list(contents))
+        latents = rr.extract_latents(q, contents)
     except Exception as exc:  # noqa: BLE001 - attribute failure to the batch head key
-        raise RerankerError(keys[0], str(exc)) from exc
+        raise RerankerError(g.node_keys[ids[0]], str(exc)) from exc
     if len(latents) != len(contents):
-        raise RerankerError(keys[0], f"{len(latents)} latent rows for {len(contents)} documents")
+        raise RerankerError(g.node_keys[ids[0]], f"{len(latents)} latent rows for {len(contents)} documents")
     return latents
 
 
@@ -259,8 +259,7 @@ def rerank_pool(q: str, ret: RankedList, g: CorpusGraph, rr: Reranker,
     if len(ret) == 0:
         raise ValueError("ranked list is empty")
     ret = g.own(ret)
-    keys = ret.keys()
-    scores = rr.head_scores(_extract(q, keys, [g.content(key) for key in keys], rr))
+    scores = rr.head_scores(_extract(q, g, ret.ids, rr))
     return RankedList.top(g.node_keys, ret.ids, scores, k)
 
 

@@ -98,13 +98,14 @@ def test_path_search_span_kept_when_all_gold_retrieved():
     assert [s.count for s in rec.spans if s.name == "metrics.seed_path_costs"] == [0]
 
 
-@pytest.mark.parametrize("workload", ["ppr", "hubs"])
+@pytest.mark.parametrize("workload", ["ppr", "hubs", "remote"])
 def test_workload_smoke_run(workload):
     # The ppr workload drives the package through the benchmark's own path
     # (vector_search, personalized_pagerank, extend(items())), which the
     # tests above do not cover; hubs drives fastinsight_retrieve through the
-    # benchmark's output checks. One untimed pass; output goes to the
-    # ignored perfbench/_out/.
+    # benchmark's output checks, and remote its HTTP set-up and rerank
+    # against the benchmark's stub server. One untimed pass; output goes to
+    # the ignored perfbench/_out/.
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
                            "--seconds", "0", "--trace", "0"],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)

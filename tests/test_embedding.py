@@ -128,6 +128,28 @@ class TestBuildIndex:
         assert emb.calls == 2  # one per distinct content, not one per node
         assert np.array_equal(cold.matrix, build_index(g, HashEmbedder(32)).matrix)
 
+    def test_uncached_build_encodes_equal_content_once(self):
+        g = make_graph(["a", "b", "c"], [], contents={"a": "same text", "b": "other", "c": "same text"})
+        emb = CountingEmbedder(32)
+        index = build_index(g, emb)
+        assert emb.calls == 2  # one per distinct content, not one per node
+        for row, text in zip(index.matrix, g.contents):
+            v = HashEmbedder(32).encode_node(text)
+            assert np.array_equal(row, v / np.linalg.norm(v))
+
+    @pytest.mark.parametrize("reply", [lambda vs: vs[:-1], lambda vs: vs + vs[:1]], ids=["short", "long"])
+    def test_reply_of_wrong_length_rejected(self, reply):
+        # Zipped against the chunk, a short reply would leave node c without
+        # a row and shift every later row onto the wrong key.
+        class Miscounting(HashEmbedder):
+            def encode_nodes(self, texts):
+                return reply(super().encode_nodes(texts))
+
+        g = make_graph(["a", "b", "c"], [])
+        with pytest.raises(EncoderError, match="'a'") as info:
+            build_index(g, Miscounting(16))
+        assert "vectors for 3 texts" in str(info.value)
+
     def test_renamed_node_with_same_content_is_a_hit(self, tmp_path):
         cache = str(tmp_path / "vectors.bin")
         build_index(make_graph(["a", "b"], [], contents={"a": "alpha", "b": "beta"}),

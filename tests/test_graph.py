@@ -232,9 +232,10 @@ class TestCSR:
             induced(g, g.ids(sub + ["?"]))
 
     def test_memory_one_adjacency(self):
-        # A 20,000-node ring retains 2.4 MiB, of which the CSR arrays are
+        # A 20,000-node ring retains 2.15 MiB, of which the CSR arrays are
         # 0.61 MiB and the path weights 0.15 MiB; a second, per-key adjacency
-        # beside the CSR makes it 3.9.
+        # beside the CSR makes it 3.9, and a per-key text dict in place of the
+        # contents tuple 2.39.
         n = 20000
         keys = [f"r{i:05d}" for i in range(n)]
         nodes = {k: k for k in keys}
@@ -259,6 +260,15 @@ class TestCSR:
         assert type(g.path_weights) is tuple and len(g.path_weights) == g.n_nodes
         for i, w in enumerate(g.path_weights):
             assert w == math.log1p(int(g.degrees[i])) and type(w) is float
+
+    def test_contents_aligned_with_node_keys(self):
+        g = make_graph(["b", "c", "a"], [("a", "b")], contents={"a": "alpha", "c": "alpha"})
+        assert type(g.contents) is tuple
+        assert g.contents == ("alpha", "text for node b", "alpha")
+        assert [g.content(k) for k in g.node_keys] == list(g.contents)
+        assert "a" in g and "zz" not in g
+        with pytest.raises(UnknownNodeError):
+            g.content("zz")
 
     def test_arrays_read_only(self, path_graph):
         with pytest.raises(ValueError):

@@ -197,6 +197,15 @@ class TestRemoteBuildIndex:
         assert _Handler.batch_sizes == [32, 32, 6]
         assert len(index) == 70
 
+    def test_repeated_text_sent_once(self, server):
+        # n040..n069 share one text: 40 distinct texts before it, 41 in all.
+        g = make_graph(_keys(70), [], contents={k: "shared" for k in _keys(70)[40:]})
+        _Handler.batch_sizes.clear()
+        index = build_index(g, RemoteEmbedder(f"{server}/embed", DIM))
+        assert _Handler.batch_sizes == [32, 9]
+        per_node = build_index(g, RemoteEmbedder(f"{server}/embed", DIM, batch_size=1))
+        assert np.array_equal(index.matrix, per_node.matrix)
+
     def test_batched_index_equals_per_node(self, server):
         g = make_graph(_keys(40), [])
         emb = RemoteEmbedder(f"{server}/embed", DIM)
