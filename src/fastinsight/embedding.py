@@ -50,6 +50,28 @@ def hash_embed(text: str, d: int = 256) -> np.ndarray:
     return vec
 
 
+def hash_embed_rows(texts: Sequence[str], d: int = 256) -> np.ndarray:
+    """:func:`hash_embed` of each text, bit for bit, as the rows of one matrix.
+
+    Each token is hashed as there; all the digests are read at once, and the
+    rows are built by one ``np.bincount`` over ``row * d + bucket``. Every
+    bucket is a sum of +/-1, so its sum of squares is an exact integer and
+    each row is divided by the same norm as in :func:`hash_embed`.
+    """
+    if d < 8:
+        raise ValueError(f"dimension must be >= 8, got {d}")
+    tokens = [_TOKEN_RE.findall(text.lower()) for text in texts]
+    blob = b"".join(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+                    for row in tokens for token in row)
+    h = np.frombuffer(blob, dtype=">u8")
+    rows = np.repeat(np.arange(len(texts)), [len(row) for row in tokens])
+    at = rows * d + (h % d).astype(np.intp)
+    m = np.bincount(at, weights=np.where(h >> 63, -1.0, 1.0), minlength=len(texts) * d)
+    m = m.astype(np.float64, copy=False).reshape(-1, d)  # an empty bincount is int
+    norms = np.sqrt((m * m).sum(axis=1))[:, None]
+    return np.divide(m, norms, out=m, where=norms > 0)
+
+
 class Embedder(Protocol):
     """Text-to-vector encoder; deterministic, fixed output dimension.
 
@@ -69,7 +91,8 @@ class Embedder(Protocol):
 
 
 class HashEmbedder:
-    """Offline embedder backed by :func:`hash_embed`; safe for concurrent use."""
+    """Offline embedder backed by :func:`hash_embed`, which encodes one text,
+    and :func:`hash_embed_rows`, which encodes a batch; safe for concurrent use."""
 
     batch_size = 32  # build_index's chunk size; any size gives the same index
 
@@ -83,7 +106,7 @@ class HashEmbedder:
         return hash_embed(text, self.dimension)
 
     def encode_nodes(self, texts: Sequence[str]) -> List[np.ndarray]:
-        return [self.encode_node(t) for t in texts]
+        return list(hash_embed_rows(texts, self.dimension))
 
 
 class _NoRedirect(urllib.request.HTTPRedirectHandler):
@@ -192,7 +215,9 @@ class EmbeddingIndex:
 
     With ``normalize`` each nonzero vector is scaled to unit L2 norm;
     otherwise vectors are stored as given. A vector of the wrong shape or
-    with a NaN or infinite entry raises, naming its key.
+    with a NaN or infinite entry raises, naming its key. The key -> row dict
+    that by-key lookups read is built on the first of them; threads that race
+    on it each build an equal dict.
     """
 
     __slots__ = ("keys", "matrix", "dimension", "_rows")
@@ -200,34 +225,48 @@ class EmbeddingIndex:
     def __init__(self, vectors: Dict[str, np.ndarray], dimension: int, normalize: bool = False):
         self.keys: Tuple[str, ...] = tuple(sorted(vectors))
         self.dimension = dimension
-        mat = np.zeros((len(self.keys), dimension))
-        with np.errstate(invalid="ignore"):  # inf / inf is NaN, rejected below
-            for i, key in enumerate(self.keys):
-                v = np.asarray(vectors[key], dtype=np.float64)
+        rows = list(map(vectors.__getitem__, self.keys))
+        try:
+            mat = np.array(rows or np.zeros((0, dimension)), dtype=np.float64)
+        except (TypeError, ValueError):  # ragged, or not numbers: the loop below names the key
+            mat = np.zeros(0)
+        if mat.shape != (len(rows), dimension):
+            for key, v in zip(self.keys, rows):
+                v = np.asarray(v, dtype=np.float64)
                 if v.shape != (dimension,):
                     raise DimensionMismatchError(
                         f"vector for {key!r} has shape {v.shape}, expected ({dimension},)"
                     )
-                norm = np.linalg.norm(v) if normalize else 0.0
-                mat[i] = v / norm if norm > 0 else v
+        if normalize:
+            # One BLAS dot per row, as np.linalg.norm takes it, so each row is
+            # scaled bit for bit as v / np.linalg.norm(v) would be; inf / inf
+            # is NaN, rejected below.
+            with np.errstate(invalid="ignore"):
+                norms = np.sqrt(np.matmul(mat[:, None, :], mat[:, :, None]))[:, 0]
+                np.divide(mat, norms, out=mat, where=norms > 0)
         # Scaling keeps a finite vector finite and a non-finite one non-finite.
         bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
         if len(bad):
             raise ValueError(f"vector for {self.keys[bad[0]]!r} has a non-finite entry")
         self.matrix = mat
         self.matrix.setflags(write=False)
-        self._rows = {k: i for i, k in enumerate(self.keys)}
+        self._rows: Optional[Dict[str, int]] = None
 
     def __len__(self) -> int:
         return len(self.keys)
 
+    def _row_of(self) -> Dict[str, int]:
+        if self._rows is None:
+            self._rows = {k: i for i, k in enumerate(self.keys)}
+        return self._rows
+
     def rows(self, names: Sequence[str], ids: np.ndarray) -> np.ndarray:
         """The matrix row of each of the nodes ``ids`` of the key table ``names``
         (:func:`table_rows`); a key the index lacks raises :class:`UnknownNodeError`."""
-        return table_rows(self.keys, self._rows, names, ids)
+        return ids if names is self.keys else table_rows(self.keys, self._row_of(), names, ids)
 
     def vector(self, key: str) -> np.ndarray:
-        return self.matrix[key_rows(self._rows, (key,))[0]]
+        return self.matrix[key_rows(self._row_of(), (key,))[0]]
 
 
 def content_digest(text: str) -> bytes:

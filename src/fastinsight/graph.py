@@ -11,6 +11,8 @@ labels it selects them by are built on its first call.
 
 from __future__ import annotations
 
+import codecs
+import functools
 import gzip
 import io
 import json
@@ -19,7 +21,7 @@ import math
 from array import array
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
+from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +32,10 @@ logger = logging.getLogger(__name__)
 
 Source = Union[str, bytes, BinaryIO]
 _LINE_SAFE = frozenset("\t\r\n")  # characters an edges-file key cannot hold
+_EDGE_BLOCK = 1 << 16  # bytes of whole lines that load_graph parses at a time
+# Adds a graph's edges, given its key -> id dict, to the codes and the unknown
+# keys, as _add_pairs does; returns the number of self-loops.
+_EdgeSource = Callable[[Dict[str, int], array, List[str]], int]
 
 
 class CorpusGraph:
@@ -56,6 +62,11 @@ class CorpusGraph:
                  "_degrees", "path_weights", "_directed", "self_loops_dropped", "_labels")
 
     def __init__(self, nodes: Dict[str, str], edges: Iterable[Tuple[str, str]]):
+        self._build(nodes, functools.partial(_add_pairs, edges))
+
+    def _build(self, nodes: Dict[str, str], add_edges: _EdgeSource) -> None:
+        """Set up the graph of ``nodes`` and of the edges that ``add_edges``
+        adds; :func:`load_graph` calls it with the edges file's block reader."""
         content: Dict[str, str] = {}
         for key, text in nodes.items():
             if not key:
@@ -67,16 +78,7 @@ class CorpusGraph:
 
         codes = array("q")  # src_id * n + dst_id of every kept directed edge
         bad: List[str] = []
-        self_loops = 0
-        for src, dst in edges:
-            i, j = index.get(src), index.get(dst)
-            if i is None or j is None:
-                bad.extend(k for k in (src, dst) if k not in index)
-                continue
-            if i == j:
-                self_loops += 1
-                continue
-            codes.append(i * n + j)
+        self_loops = add_edges(index, codes, bad)
         if bad:
             names = ", ".join(repr(k) for k in sorted(set(bad)))
             raise GraphValidationError(f"edges reference unknown node keys: {names}")
@@ -164,6 +166,83 @@ class CorpusGraph:
         return ret if ids is ret.ids else RankedList.of(self._keys, ids, ret.scores)
 
 
+def _add_pairs(pairs: Iterable[Tuple[str, str]], index: Dict[str, int], codes: array, bad: List[str]) -> int:
+    """Append ``src_id * n + dst_id`` of each edge ``(src, dst)`` that is not a
+    self-loop to ``codes`` and each key that ``index`` (key -> id) lacks to
+    ``bad``; returns the number of self-loops."""
+    n = len(index)
+    self_loops = 0
+    for src, dst in pairs:
+        i, j = index.get(src), index.get(dst)
+        if i is None or j is None:
+            bad.extend(k for k in (src, dst) if k not in index)
+            continue
+        if i == j:
+            self_loops += 1
+            continue
+        codes.append(i * n + j)
+    return self_loops
+
+
+def _add_keys(keys: List[str], index: Dict[str, int], codes: array, bad: List[str]) -> int:
+    """:func:`_add_pairs` of the edges ``keys[0::2]`` -> ``keys[1::2]``, by
+    one id lookup over all the keys when ``index`` holds them all."""
+    try:
+        ids = np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
+    except KeyError:
+        return _add_pairs(zip(keys[0::2], keys[1::2]), index, codes, bad)
+    src, dst = ids[0::2], ids[1::2]
+    kept = src != dst
+    codes.frombytes((src[kept] * len(index) + dst[kept]).tobytes())
+    return len(src) - int(np.count_nonzero(kept))
+
+
+def _block_keys(block: bytes, first: bool) -> Optional[List[str]]:
+    """The fields of a block of whole edges-file lines, each ending in LF, in
+    order, if every line is two non-empty fields split by one tab, with no CR,
+    the block decodes as UTF-8 and, if it opens the file, it has no byte-order
+    mark; else None, and :func:`tab_rows` must read it."""
+    if b"\r" in block or (first and block.startswith(codecs.BOM_UTF8)):
+        return None
+    b = np.frombuffer(block, dtype=np.uint8)
+    seps = np.flatnonzero((b == 9) | (b == 10))
+    kinds = b[seps]
+    # Separators alternate tab, LF, and no two are adjacent (or a tab first).
+    if len(seps) % 2 or (kinds[0::2] != 9).any() or (kinds[1::2] != 10).any() \
+            or (np.diff(seps, prepend=-1) < 2).any():
+        return None
+    try:
+        keys = block.decode("utf-8").replace("\t", "\n").split("\n")
+    except UnicodeDecodeError:
+        return None
+    keys.pop()  # the empty string after the last LF
+    return keys
+
+
+def _read_edges(fh: BinaryIO, index: Dict[str, int], codes: array, bad: List[str]) -> int:
+    """:func:`_add_pairs` of the edges of a :func:`tab_rows` file of
+    (src, dst) lines, read a block of whole lines of about ``_EDGE_BLOCK``
+    bytes at a time. A block that :func:`_block_keys` splits is looked up by
+    :func:`_add_keys`; any other is read line by line by :func:`tab_rows`,
+    which names the first bad line."""
+    self_loops, line_no = 0, 1
+    while True:
+        block = fh.read(_EDGE_BLOCK)
+        if not block:
+            return self_loops
+        if not block.endswith(b"\n"):
+            block += fh.readline()
+            if not block.endswith(b"\n"):  # the file's last line has no line end
+                block += b"\n"
+        keys = _block_keys(block, line_no == 1)
+        if keys is None:
+            rows = tab_rows(io.BytesIO(block), "edges file", 2, line_no)
+            self_loops += _add_pairs((pair for _, pair in rows), index, codes, bad)
+        else:
+            self_loops += _add_keys(keys, index, codes, bad)
+        line_no += block.count(b"\n")
+
+
 def _component_labels(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Smallest node id of each node's connected component in a symmetric
     CSR, by hook-and-shortcut rounds (Shiloach & Vishkin, J. Algorithms 1982).
@@ -222,10 +301,11 @@ def _open_source(source: Source) -> Iterator[BinaryIO]:
         yield raw
 
 
-def text_lines(fh: BinaryIO, source: str) -> Iterator[Tuple[int, str]]:
-    """(line number, text without its line end or a leading BOM) of each line
-    of a UTF-8 file; a line that does not decode raises :class:`GraphFormatError`."""
-    for line_no, raw in enumerate(fh, start=1):
+def text_lines(fh: BinaryIO, source: str, start: int = 1) -> Iterator[Tuple[int, str]]:
+    """(line number, text without its line end) of each line of a UTF-8 file
+    whose first line is line ``start``, and line 1 without a leading BOM; a
+    line that does not decode raises :class:`GraphFormatError`."""
+    for line_no, raw in enumerate(fh, start=start):
         try:
             line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8")
         except UnicodeDecodeError as exc:
@@ -257,11 +337,11 @@ def read_records(fh: BinaryIO, source: str, noun: str, key: str, text: str) -> D
     return out
 
 
-def tab_rows(fh: BinaryIO, source: str, width: int) -> Iterator[Tuple[int, List[str]]]:
+def tab_rows(fh: BinaryIO, source: str, width: int, start: int = 1) -> Iterator[Tuple[int, List[str]]]:
     """(line number, fields) of each non-empty line of a :func:`text_lines`
     file; a line that is not exactly ``width`` tab-separated fields, each
     non-empty, raises :class:`GraphFormatError`."""
-    for line_no, line in text_lines(fh, source):
+    for line_no, line in text_lines(fh, source, start):
         if not line:
             continue
         fields = line.split("\t")
@@ -274,15 +354,17 @@ def load_graph(nodes_source: Source, edges_source: Source) -> CorpusGraph:
     """Load and validate a corpus graph.
 
     Nodes: JSON-lines records with fields "key" and "content", read by
-    :func:`read_records`. Edges: src/dst key pairs, read by :func:`tab_rows`,
-    no header. Both inputs may be gzip-compressed. Duplicate edges are
-    deduplicated; self-loops are dropped (counted on the result); edges
-    naming unknown keys raise :class:`GraphValidationError`.
+    :func:`read_records`. Edges: src/dst key pairs as :func:`tab_rows` reads
+    them, no header, parsed a block of lines at a time by :func:`_read_edges`.
+    Both inputs may be gzip-compressed. Duplicate edges are deduplicated;
+    self-loops are dropped (counted on the result); edges naming unknown keys
+    raise :class:`GraphValidationError`.
     """
     with _open_source(nodes_source) as fh:
         nodes = read_records(fh, "nodes file", "node key", "key", "content")
     with _open_source(edges_source) as fh:
-        g = CorpusGraph(nodes, (pair for _, pair in tab_rows(fh, "edges file", 2)))
+        g = CorpusGraph.__new__(CorpusGraph)
+        g._build(nodes, functools.partial(_read_edges, fh))
     if g.self_loops_dropped:
         logger.warning("dropped %d self-loop edge(s) during load", g.self_loops_dropped)
     return g

@@ -30,15 +30,15 @@ class CountingReranker(HashReranker):
 
 
 class CountingEmbedder(HashEmbedder):
-    """HashEmbedder that counts its node encodes in ``calls``."""
+    """HashEmbedder that counts the texts sent to its batch encoder in ``calls``."""
 
     def __init__(self, dimension=256):
         super().__init__(dimension)
         self.calls = 0
 
-    def encode_node(self, text):
-        self.calls += 1
-        return super().encode_node(text)
+    def encode_nodes(self, texts):
+        self.calls += len(texts)
+        return super().encode_nodes(texts)
 
 
 def count_searches(monkeypatch):

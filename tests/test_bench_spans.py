@@ -98,17 +98,23 @@ def test_path_search_span_kept_when_all_gold_retrieved():
     assert [s.count for s in rec.spans if s.name == "metrics.seed_path_costs"] == [0]
 
 
-@pytest.mark.parametrize("workload", ["ppr", "hubs", "remote"])
-def test_workload_smoke_run(workload):
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("workload, trace", [pytest.param(w, t, id=w) for w, t in
+                                              (("ppr", 0), ("hubs", 0), ("remote", 0), ("bridge", 1))])
+def test_workload_smoke_run(workload, trace):
     # The ppr workload drives the package through the benchmark's own path
     # (vector_search, personalized_pagerank, extend(items())), which the
     # tests above do not cover; hubs drives fastinsight_retrieve through the
     # benchmark's output checks, and remote its HTTP set-up and rerank
-    # against the benchmark's stub server. One untimed pass; output goes to
-    # the ignored perfbench/_out/.
+    # against the benchmark's stub server. bridge runs traced: its per-layer
+    # metrics must still end the output as one strict-JSON result line. One
+    # untimed pass; output goes to the ignored perfbench/_out/.
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
-                           "--seconds", "0", "--trace", "0"],
+                           "--seconds", "0", "--trace", str(trace)],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_reject_constant)
     assert result["correct"] is True and result["failed"] == 0, result

@@ -16,7 +16,7 @@ from fastinsight import (
     hash_embed,
     vector_search,
 )
-from fastinsight.embedding import CACHE_MAGIC, content_digest, read_cache, write_cache
+from fastinsight.embedding import CACHE_MAGIC, content_digest, hash_embed_rows, read_cache, write_cache
 from fastinsight.errors import CacheInvalidError, DimensionMismatchError, EncoderError
 
 from conftest import CountingEmbedder, make_graph
@@ -51,6 +51,42 @@ class TestHashEmbed:
             right = " ".join(f"beta{i}w{j}" for j in range(12))
             dot = float(hash_embed(left, 256) @ hash_embed(right, 256))
             assert abs(dot) < 0.3
+
+
+# Texts with no token, repeated tokens, upper case and non-ASCII letters
+# (U+0130 lowercases to two characters, "\u00df" is one token character).
+_TEXTS = st.lists(st.sampled_from(["", "  ..!", "a a a b", "Foo, BAR! foo", "\u0130stanbul \u00dfe",
+                                   "caf\u00e9 CAF\u00c9 42"])
+                  | st.text(st.sampled_from("aAbZ09 .,\u00e9\u00c9\u00df\u0130\u03a3\t"), max_size=40),
+                  max_size=8)
+
+
+class TestHashEmbedRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_TEXTS, st.sampled_from([8, 13, 256]))
+    def test_rows_equal_hash_embed_bit_for_bit(self, texts, d):
+        m = hash_embed_rows(texts, d)
+        assert m.shape == (len(texts), d) and m.dtype == np.float64
+        for row, text in zip(m, texts):
+            assert row.tobytes() == hash_embed(text, d).tobytes()
+
+    def test_many_texts_equal_hash_embed(self):
+        rng = random.Random(5)
+        words = [f"w{i}" for i in range(300)]
+        texts = [" ".join(rng.choices(words, k=rng.randint(0, 60))) for _ in range(500)]
+        m = hash_embed_rows(texts, 64)
+        assert all(row.tobytes() == hash_embed(t, 64).tobytes() for row, t in zip(m, texts))
+
+    def test_encode_nodes_is_a_list_of_rows(self):
+        emb = HashEmbedder(16)
+        got = emb.encode_nodes(["one two", "", "three"])
+        assert type(got) is list and len(got) == 3
+        for vector, text in zip(got, ["one two", "", "three"]):
+            assert np.array_equal(vector, emb.encode_node(text))
+
+    def test_minimum_dimension(self):
+        with pytest.raises(ValueError):
+            hash_embed_rows(["x"], 4)
 
 
 class TestBuildIndex:
@@ -338,6 +374,50 @@ class TestVectorSearch:
         q[2] = bad
         with pytest.raises(ValueError, match="query vector has a non-finite entry"):
             vector_search(q, index, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 24).flatmap(lambda d: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64)
+                 | st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e-300]), min_size=d, max_size=d),
+        max_size=6)))
+    def test_normalized_rows_equal_per_row_norm(self, rows):
+        vectors = {f"k{i}": np.array(v, dtype=np.float64) for i, v in enumerate(rows)}
+        d = len(rows[0]) if rows else 1
+        with np.errstate(over="ignore"):  # a norm past the float range is inf
+            index = EmbeddingIndex(vectors, d, normalize=True)
+            for key, row in zip(index.keys, index.matrix):
+                v = vectors[key]
+                norm = np.linalg.norm(v)
+                assert row.tobytes() == (v / norm if norm > 0 else v).tobytes()
+
+    @pytest.mark.parametrize("d", [8, 64, 256])
+    def test_normalized_rows_equal_per_row_norm_at_scale(self, d):
+        # Thousands of rows: np.linalg.norm(axis=1) or einsum would round some
+        # norms differently from the per-row norm.
+        rng = np.random.default_rng(d)
+        vectors = {f"k{i:04d}": rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4) for i in range(3000)}
+        vectors["k0000"] = np.zeros(d)
+        index = EmbeddingIndex(vectors, d, normalize=True)
+        want = np.array([v / np.linalg.norm(v) if v.any() else v for v in map(vectors.__getitem__, index.keys)])
+        assert index.matrix.tobytes() == want.tobytes()
+
+    def test_wrong_shape_names_key(self):
+        vectors = {"a": np.ones(8), "b": np.ones(9), "c": np.ones(8)}
+        with pytest.raises(DimensionMismatchError, match="'b' has shape \\(9,\\)"):
+            EmbeddingIndex(vectors, 8)
+        with pytest.raises(DimensionMismatchError, match="'a' has shape \\(9,\\)"):
+            EmbeddingIndex({"a": np.ones(9), "b": np.ones(9)}, 8)
+
+    def test_row_dict_built_on_first_key_lookup(self):
+        g = make_graph(["b", "a", "c"], [("a", "b")])
+        index = build_index(g, HashEmbedder(16))
+        ids = np.array([2, 0])
+        assert index.rows(g.node_keys, ids) is ids
+        vector_search(index.matrix[1], index, 2)
+        assert index._rows is None  # retrieval over the graph's keys needs no dict
+        assert np.array_equal(index.vector("b"), index.matrix[1])
+        assert index._rows == {"a": 0, "b": 1, "c": 2}
+        assert index.rows(("c", "a"), np.array([0, 1])).tolist() == [2, 0]
 
     def test_empty_index_rejected(self):
         index = EmbeddingIndex({}, 8)

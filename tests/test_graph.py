@@ -12,6 +12,7 @@ import tracemalloc
 import warnings
 from collections import deque
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -158,6 +159,80 @@ class TestLoad:
         save_graph(g, np_, ep)
         g2 = load_graph(np_, ep)
         assert g2.node_keys == g.node_keys and g2.content("a\tb") == "x"
+
+
+# Lines of an edges file: pairs over keys with a BOM, a space and a non-ASCII
+# letter, lines that only the line reader accepts (blank, CR), and lines it
+# names in an error (malformed, not UTF-8, an unknown key).
+_KEYS = ["a", "b", "cc", "\ufeffa", "x y", "\u00e9"]
+_EDGE_LINE = st.one_of(
+    st.tuples(st.sampled_from(_KEYS), st.sampled_from(_KEYS)).map(lambda p: f"{p[0]}\t{p[1]}".encode()),
+    st.sampled_from([b"", b"\r", b"a\tb\r", b"a\ta"]),
+)
+_BAD_LINE = st.sampled_from([b"a", b"a\t", b"\tb", b"a\t\tb", b"a\tb\tc", b"\xff\tb", b"zz\ta", b" \t "])
+
+
+def _outcome(build):
+    """The CSR, directed codes and self-loop count of the graph ``build()``
+    returns, or the type and message of its error."""
+    try:
+        g = build()
+    except (GraphFormatError, GraphValidationError) as exc:
+        return type(exc), str(exc)
+    return g.indptr.tolist(), g.indices.tolist(), g._directed.tolist(), g.self_loops_dropped
+
+
+def _line_read(keys, edges):
+    """The graph of ``keys`` (as ``_nodes_bytes`` writes them) and of the edges
+    file read line by line by ``tab_rows``: the block reader's reference."""
+    with graph_module._open_source(edges) as fh:
+        pairs = (pair for _, pair in graph_module.tab_rows(fh, "edges file", 2))
+        return CorpusGraph({k: f"c {k}" for k in keys}, pairs)
+
+
+class TestBlockReader:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_EDGE_LINE, max_size=12), st.lists(st.tuples(st.integers(0, 12), _BAD_LINE), max_size=1),
+           st.sampled_from([b"", b"\n", b"\r\n", b"\n\n"]), st.booleans(), st.booleans(), st.integers(1, 24))
+    def test_same_graph_or_error_as_line_reader(self, lines, bad, end, bom, gz, block):
+        for at, line in bad:
+            lines.insert(at, line)
+        blob = (b"\xef\xbb\xbf" if bom else b"") + b"\n".join(lines) + end
+        if gz:
+            blob = gzip.compress(blob)
+        with mock.patch.object(graph_module, "_EDGE_BLOCK", block):  # lines cross block ends
+            got = _outcome(lambda: load_graph(_nodes_bytes(_KEYS), blob))
+        assert got == _outcome(lambda: _line_read(_KEYS, blob))
+
+    def test_clean_blocks_skip_the_line_reader(self, monkeypatch):
+        keys = [f"k{i:03d}" for i in range(200)]
+        pairs = [(keys[i], keys[(i * 7 + 1) % 200]) for i in range(200)] + [(keys[0], keys[0])]
+        blob = _edges_bytes(pairs)
+        want = _outcome(lambda: _line_read(keys, blob))
+        monkeypatch.setattr(graph_module, "_EDGE_BLOCK", 100)
+
+        def no_line_reader(*args):
+            raise AssertionError("a clean block went through tab_rows")
+
+        monkeypatch.setattr(graph_module, "tab_rows", no_line_reader)
+        assert _outcome(lambda: load_graph(_nodes_bytes(keys), blob)) == want
+        assert want[3] == 1
+
+    @pytest.mark.parametrize("block", [1, 5, 1 << 16])
+    def test_one_tab_per_line_is_checked_per_line(self, monkeypatch, block):
+        # Tabs and lines are equal in number here, so counting them over the
+        # whole file would pair (a, b) and (c, d).
+        monkeypatch.setattr(graph_module, "_EDGE_BLOCK", block)
+        want = r"edges file, line 1: not 2 non-empty tab-separated fields: 'a\tb\tc'"
+        with pytest.raises(GraphFormatError, match=re.escape(want)):
+            load_graph(_nodes_bytes(["a", "b", "c", "d"]), b"a\tb\tc\nd\n")
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_bad_line_named_after_many_clean_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(graph_module, "_EDGE_BLOCK", block)
+        blob = _edges_bytes([("a", "b")] * 40) + b"a\tb\r\n\nb\t\ta\n"
+        with pytest.raises(GraphFormatError, match="^edges file, line 43: "):
+            load_graph(_nodes_bytes(["a", "b"]), blob)
 
 
 @st.composite
