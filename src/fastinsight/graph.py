@@ -12,7 +12,6 @@ labels it selects them by are built on its first call.
 from __future__ import annotations
 
 import codecs
-import functools
 import gzip
 import io
 import json
@@ -21,7 +20,8 @@ import math
 from array import array
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from itertools import islice
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -33,9 +33,7 @@ logger = logging.getLogger(__name__)
 Source = Union[str, bytes, BinaryIO]
 _LINE_SAFE = frozenset("\t\r\n")  # characters an edges-file key cannot hold
 _EDGE_BLOCK = 1 << 16  # bytes of whole lines that load_graph parses at a time
-# Adds a graph's edges, given its key -> id dict, to the codes and the unknown
-# keys, as _add_pairs does; returns the number of self-loops.
-_EdgeSource = Callable[[Dict[str, int], array, List[str]], int]
+_PAIR_CHUNK = 1 << 13  # edges that CorpusGraph looks up at a time
 
 
 class CorpusGraph:
@@ -62,11 +60,12 @@ class CorpusGraph:
                  "_degrees", "path_weights", "_directed", "self_loops_dropped", "_labels")
 
     def __init__(self, nodes: Dict[str, str], edges: Iterable[Tuple[str, str]]):
-        self._build(nodes, functools.partial(_add_pairs, edges))
+        self._build(nodes, _pair_keys(edges))
 
-    def _build(self, nodes: Dict[str, str], add_edges: _EdgeSource) -> None:
-        """Set up the graph of ``nodes`` and of the edges that ``add_edges``
-        adds; :func:`load_graph` calls it with the edges file's block reader."""
+    def _build(self, nodes: Dict[str, str], key_chunks: Iterable[List[str]]) -> None:
+        """Set up the graph of ``nodes`` and of the edges ``keys[0::2]`` ->
+        ``keys[1::2]`` of each list of ``key_chunks``; :func:`load_graph`
+        calls it with the edges file's block reader."""
         content: Dict[str, str] = {}
         for key, text in nodes.items():
             if not key:
@@ -78,7 +77,7 @@ class CorpusGraph:
 
         codes = array("q")  # src_id * n + dst_id of every kept directed edge
         bad: List[str] = []
-        self_loops = add_edges(index, codes, bad)
+        self_loops = sum(_add_keys(keys, index, codes, bad) for keys in key_chunks)
         if bad:
             names = ", ".join(repr(k) for k in sorted(set(bad)))
             raise GraphValidationError(f"edges reference unknown node keys: {names}")
@@ -166,31 +165,28 @@ class CorpusGraph:
         return ret if ids is ret.ids else RankedList.of(self._keys, ids, ret.scores)
 
 
-def _add_pairs(pairs: Iterable[Tuple[str, str]], index: Dict[str, int], codes: array, bad: List[str]) -> int:
-    """Append ``src_id * n + dst_id`` of each edge ``(src, dst)`` that is not a
-    self-loop to ``codes`` and each key that ``index`` (key -> id) lacks to
-    ``bad``; returns the number of self-loops."""
-    n = len(index)
-    self_loops = 0
-    for src, dst in pairs:
-        i, j = index.get(src), index.get(dst)
-        if i is None or j is None:
-            bad.extend(k for k in (src, dst) if k not in index)
-            continue
-        if i == j:
-            self_loops += 1
-            continue
-        codes.append(i * n + j)
-    return self_loops
+def _pair_keys(edges: Iterable[Tuple[str, str]]) -> Iterator[List[str]]:
+    """The keys of ``edges``, ``(src, dst)`` pairs, flattened to lists of
+    ``src, dst, src, dst, ...`` of up to ``_PAIR_CHUNK`` edges each."""
+    pairs = iter(edges)
+    while True:
+        keys = [k for src, dst in islice(pairs, _PAIR_CHUNK) for k in (src, dst)]
+        if not keys:
+            return
+        yield keys
 
 
 def _add_keys(keys: List[str], index: Dict[str, int], codes: array, bad: List[str]) -> int:
-    """:func:`_add_pairs` of the edges ``keys[0::2]`` -> ``keys[1::2]``, by
-    one id lookup over all the keys when ``index`` holds them all."""
+    """Append ``src_id * n + dst_id`` of each edge ``keys[0::2]`` ->
+    ``keys[1::2]`` that is not a self-loop to ``codes``, by one id lookup over
+    all the keys, and return the number of self-loops. If ``index`` (key -> id)
+    lacks a key, append every such key to ``bad`` instead: the graph is
+    invalid, so no code is kept."""
     try:
         ids = np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
     except KeyError:
-        return _add_pairs(zip(keys[0::2], keys[1::2]), index, codes, bad)
+        bad.extend(k for k in keys if k not in index)
+        return 0
     src, dst = ids[0::2], ids[1::2]
     kept = src != dst
     codes.frombytes((src[kept] * len(index) + dst[kept]).tobytes())
@@ -219,27 +215,25 @@ def _block_keys(block: bytes, first: bool) -> Optional[List[str]]:
     return keys
 
 
-def _read_edges(fh: BinaryIO, index: Dict[str, int], codes: array, bad: List[str]) -> int:
-    """:func:`_add_pairs` of the edges of a :func:`tab_rows` file of
-    (src, dst) lines, read a block of whole lines of about ``_EDGE_BLOCK``
-    bytes at a time. A block that :func:`_block_keys` splits is looked up by
-    :func:`_add_keys`; any other is read line by line by :func:`tab_rows`,
-    which names the first bad line."""
-    self_loops, line_no = 0, 1
+def _read_edges(fh: BinaryIO) -> Iterator[List[str]]:
+    """The keys of the edges of a :func:`tab_rows` file of (src, dst) lines,
+    flattened as :func:`_pair_keys` does, one list per block of whole lines of
+    about ``_EDGE_BLOCK`` bytes. A block that :func:`_block_keys` splits is
+    split so; any other is read line by line by :func:`tab_rows`, which names
+    the first bad line."""
+    line_no = 1
     while True:
         block = fh.read(_EDGE_BLOCK)
         if not block:
-            return self_loops
+            return
         if not block.endswith(b"\n"):
             block += fh.readline()
             if not block.endswith(b"\n"):  # the file's last line has no line end
                 block += b"\n"
         keys = _block_keys(block, line_no == 1)
         if keys is None:
-            rows = tab_rows(io.BytesIO(block), "edges file", 2, line_no)
-            self_loops += _add_pairs((pair for _, pair in rows), index, codes, bad)
-        else:
-            self_loops += _add_keys(keys, index, codes, bad)
+            keys = [k for _, pair in tab_rows(io.BytesIO(block), "edges file", 2, line_no) for k in pair]
+        yield keys
         line_no += block.count(b"\n")
 
 
@@ -364,7 +358,7 @@ def load_graph(nodes_source: Source, edges_source: Source) -> CorpusGraph:
         nodes = read_records(fh, "nodes file", "node key", "key", "content")
     with _open_source(edges_source) as fh:
         g = CorpusGraph.__new__(CorpusGraph)
-        g._build(nodes, functools.partial(_read_edges, fh))
+        g._build(nodes, _read_edges(fh))
     if g.self_loops_dropped:
         logger.warning("dropped %d self-loop edge(s) during load", g.self_loops_dropped)
     return g
